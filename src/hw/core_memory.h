@@ -3,11 +3,18 @@
 // This is the top of the three-level Multics memory hierarchy; the bulk store
 // and disk live in src/mem/ with their latency models. Core references cost
 // one cycle and are charged by the processor, not here.
+//
+// A frame's words are allocated on its first write, so the host footprint
+// follows the frames the simulation has touched rather than the configured
+// core size. A never-written frame reads as zeros, exactly as a zero-filled
+// one would.
 
 #ifndef SRC_HW_CORE_MEMORY_H_
 #define SRC_HW_CORE_MEMORY_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/base/log.h"
@@ -20,43 +27,58 @@ inline constexpr FrameIndex kInvalidFrame = UINT32_MAX;
 
 class CoreMemory {
  public:
-  explicit CoreMemory(uint32_t frames) : data_(static_cast<size_t>(frames) * kPageWords) {}
+  explicit CoreMemory(uint32_t frames) : frames_(frames) {}
 
-  uint32_t frame_count() const { return static_cast<uint32_t>(data_.size() / kPageWords); }
+  uint32_t frame_count() const { return static_cast<uint32_t>(frames_.size()); }
 
   Word ReadWord(FrameIndex frame, uint32_t offset) const {
     CHECK_LT(frame, frame_count());
     CHECK_LT(offset, kPageWords);
-    return data_[static_cast<size_t>(frame) * kPageWords + offset];
+    const Word* words = frames_[frame].get();
+    return words == nullptr ? 0 : words[offset];
   }
 
   void WriteWord(FrameIndex frame, uint32_t offset, Word value) {
     CHECK_LT(frame, frame_count());
     CHECK_LT(offset, kPageWords);
-    data_[static_cast<size_t>(frame) * kPageWords + offset] = value;
+    std::unique_ptr<Word[]>& words = frames_[frame];
+    if (words == nullptr) {
+      words = std::make_unique<Word[]>(kPageWords);  // Value-initialized: zeros.
+    }
+    words[offset] = value;
   }
 
   // Whole-page transfers used by page control and the image loader.
   void ReadPage(FrameIndex frame, std::vector<Word>& out) const {
     CHECK_LT(frame, frame_count());
-    out.assign(data_.begin() + static_cast<long>(frame) * kPageWords,
-               data_.begin() + static_cast<long>(frame + 1) * kPageWords);
+    const Word* words = frames_[frame].get();
+    if (words == nullptr) {
+      out.assign(kPageWords, 0);
+    } else {
+      out.assign(words, words + kPageWords);
+    }
   }
 
   void WritePage(FrameIndex frame, const std::vector<Word>& in) {
     CHECK_LT(frame, frame_count());
     CHECK_EQ(in.size(), kPageWords);
-    std::copy(in.begin(), in.end(), data_.begin() + static_cast<long>(frame) * kPageWords);
+    std::unique_ptr<Word[]>& words = frames_[frame];
+    if (words == nullptr) {
+      words = std::make_unique_for_overwrite<Word[]>(kPageWords);
+    }
+    std::copy(in.begin(), in.end(), words.get());
   }
 
+  // A never-written frame already reads as zeros, so it stays unallocated.
   void ZeroPage(FrameIndex frame) {
     CHECK_LT(frame, frame_count());
-    std::fill(data_.begin() + static_cast<long>(frame) * kPageWords,
-              data_.begin() + static_cast<long>(frame + 1) * kPageWords, 0);
+    if (Word* words = frames_[frame].get(); words != nullptr) {
+      std::fill_n(words, kPageWords, Word{0});
+    }
   }
 
  private:
-  std::vector<Word> data_;
+  std::vector<std::unique_ptr<Word[]>> frames_;  // Null until first written.
 };
 
 }  // namespace multics

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 
 #include "src/hw/page_table.h"
 #include "src/hw/ring.h"
@@ -43,8 +44,21 @@ struct SegmentDescriptor {
 };
 
 // The hardware-visible address space of one process: segment number -> SDW.
+//
+// Like the 6180's descriptor segment, which was itself paged and bounded by
+// the descriptor base register, the SDWs live in fixed-size pages behind a
+// page directory, and a page is allocated on the first Set() or GetMutable()
+// that lands in it. A process pays for the segment numbers it has used, not
+// for kMaxSegments. Pages are never freed or moved while the segment lives,
+// so an SDW's address is stable: a reference from Get() or a pointer from
+// GetMutable() stays valid when a later Set() allocates another page, which
+// a descriptor array grown by reallocation could not promise.
 class DescriptorSegment {
  public:
+  static constexpr SegNo kSdwsPerPage = 64;
+  static constexpr SegNo kPageCount = kMaxSegments / kSdwsPerPage;
+  static_assert(kMaxSegments % kSdwsPerPage == 0);
+
   DescriptorSegment() = default;
 
   const SegmentDescriptor& Get(SegNo segno) const {
@@ -52,7 +66,8 @@ class DescriptorSegment {
     if (segno >= kMaxSegments) {
       return kInvalid;
     }
-    return sdws_[segno];
+    const SdwPage* page = pages_[segno / kSdwsPerPage].get();
+    return page == nullptr ? kInvalid : (*page)[segno % kSdwsPerPage];
   }
 
   // Hands out a mutable SDW, so the caller may change permissions or unhook
@@ -64,19 +79,23 @@ class DescriptorSegment {
       return nullptr;
     }
     epoch_ = NextDsegEpoch();
-    return &sdws_[segno];
+    return &Slot(segno);
   }
 
   void Set(SegNo segno, const SegmentDescriptor& sdw) {
     if (segno < kMaxSegments) {
-      sdws_[segno] = sdw;
+      Slot(segno) = sdw;
       epoch_ = NextDsegEpoch();
     }
   }
 
+  // Clearing a slot on a never-allocated page allocates nothing: it already
+  // reads as the invalid SDW.
   void Clear(SegNo segno) {
     if (segno < kMaxSegments) {
-      sdws_[segno] = SegmentDescriptor{};
+      if (SdwPage* page = pages_[segno / kSdwsPerPage].get(); page != nullptr) {
+        (*page)[segno % kSdwsPerPage] = SegmentDescriptor{};
+      }
       epoch_ = NextDsegEpoch();
     }
   }
@@ -88,19 +107,44 @@ class DescriptorSegment {
   // revocation tests certify this).
   uint64_t epoch() const { return epoch_; }
 
+  // Calls fn(segno, sdw) for every valid SDW in ascending segment-number
+  // order, visiting allocated pages only.
+  template <typename Fn>
+  void ForEachValid(Fn&& fn) const {
+    for (SegNo p = 0; p < kPageCount; ++p) {
+      const SdwPage* page = pages_[p].get();
+      if (page == nullptr) {
+        continue;
+      }
+      for (SegNo i = 0; i < kSdwsPerPage; ++i) {
+        if ((*page)[i].valid) {
+          fn(p * kSdwsPerPage + i, (*page)[i]);
+        }
+      }
+    }
+  }
+
   // Number of valid SDWs; a structural metric some benches report.
   uint32_t CountValid() const {
     uint32_t n = 0;
-    for (const auto& sdw : sdws_) {
-      if (sdw.valid) {
-        ++n;
-      }
-    }
+    ForEachValid([&n](SegNo, const SegmentDescriptor&) { ++n; });
     return n;
   }
 
  private:
-  std::array<SegmentDescriptor, kMaxSegments> sdws_{};
+  using SdwPage = std::array<SegmentDescriptor, kSdwsPerPage>;
+
+  // The slot for segno, allocating its page on first touch. segno must be
+  // below kMaxSegments.
+  SegmentDescriptor& Slot(SegNo segno) {
+    std::unique_ptr<SdwPage>& page = pages_[segno / kSdwsPerPage];
+    if (page == nullptr) {
+      page = std::make_unique<SdwPage>();
+    }
+    return (*page)[segno % kSdwsPerPage];
+  }
+
+  std::array<std::unique_ptr<SdwPage>, kPageCount> pages_{};
   uint64_t epoch_ = NextDsegEpoch();
 };
 

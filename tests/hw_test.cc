@@ -8,6 +8,7 @@
 #include "src/hw/processor.h"
 #include "src/hw/ring.h"
 #include "src/hw/sdw.h"
+#include "src/proc/process.h"
 
 namespace multics {
 namespace {
@@ -237,6 +238,23 @@ TEST_F(ProcessorTest, WalkCacheIsPerRing) {
   EXPECT_EQ(cpu_.Read(10, 0).status(), Status::kRingViolation);
 }
 
+TEST_F(ProcessorTest, WalkCacheSeesPageAllocatingSet) {
+  InstallSegment(10, 1, UserBrackets(), true, true, false);
+  // Keep a pointer to the SDW, then warm the read walk cache.
+  SegmentDescriptor* sdw = dseg_.GetMutable(10);
+  ASSERT_TRUE(cpu_.Read(10, 0).ok());
+  // A write through the kept pointer bypasses the epoch, so the cached walk
+  // still hits: this is what makes the check below observable.
+  sdw->read = false;
+  ASSERT_TRUE(cpu_.Read(10, 0).ok());
+  // A Set that allocates a fresh SDW page takes a new epoch like any other
+  // mutation, so the next reference walks again and sees the revoked bit.
+  const uint64_t before = dseg_.epoch();
+  InstallSegment(kMaxSegments - 1, 1, UserBrackets(), true, true, false);
+  EXPECT_NE(dseg_.epoch(), before);
+  EXPECT_EQ(cpu_.Read(10, 0).status(), Status::kAccessDenied);
+}
+
 TEST_F(ProcessorTest, IntraRingCallKeepsRing) {
   InstallSegment(20, 1, UserBrackets(), true, false, true);
   ASSERT_EQ(cpu_.Call(20, 0), Status::kOk);
@@ -347,6 +365,109 @@ TEST_F(ProcessorTest, OutwardCallFaultsByDefault) {
   EXPECT_EQ(cpu_.ring(), kRingUser);
 }
 
+// --- Descriptor segment ------------------------------------------------------
+
+TEST(DescriptorSegmentTest, FreshSegmentIsAllInvalid) {
+  DescriptorSegment dseg;
+  for (SegNo segno = 0; segno < kMaxSegments; ++segno) {
+    ASSERT_FALSE(dseg.Get(segno).valid) << segno;
+  }
+  EXPECT_EQ(dseg.CountValid(), 0u);
+}
+
+TEST(DescriptorSegmentTest, LastSegnoRoundTrips) {
+  DescriptorSegment dseg;
+  SegmentDescriptor sdw;
+  sdw.valid = true;
+  sdw.read = true;
+  sdw.length_pages = 3;
+  sdw.uid = 42;
+  dseg.Set(kMaxSegments - 1, sdw);
+  const SegmentDescriptor& got = dseg.Get(kMaxSegments - 1);
+  EXPECT_TRUE(got.valid);
+  EXPECT_TRUE(got.read);
+  EXPECT_FALSE(got.write);
+  EXPECT_EQ(got.length_pages, 3u);
+  EXPECT_EQ(got.uid, 42u);
+  EXPECT_FALSE(dseg.Get(kMaxSegments - 2).valid);
+  EXPECT_EQ(dseg.CountValid(), 1u);
+}
+
+TEST(DescriptorSegmentTest, GetMutableOfUnsetSegnoIsWritableAndBumpsEpoch) {
+  DescriptorSegment dseg;
+  const uint64_t before = dseg.epoch();
+  SegmentDescriptor* sdw = dseg.GetMutable(700);
+  ASSERT_NE(sdw, nullptr);
+  EXPECT_FALSE(sdw->valid);
+  EXPECT_NE(dseg.epoch(), before);
+  sdw->valid = true;
+  sdw->write = true;
+  EXPECT_TRUE(dseg.Get(700).valid);
+  EXPECT_TRUE(dseg.Get(700).write);
+  EXPECT_EQ(dseg.CountValid(), 1u);
+}
+
+TEST(DescriptorSegmentTest, ClearOfUnallocatedSlotBumpsEpoch) {
+  DescriptorSegment dseg;
+  const uint64_t before = dseg.epoch();
+  dseg.Clear(1234);
+  EXPECT_NE(dseg.epoch(), before);
+  EXPECT_FALSE(dseg.Get(1234).valid);
+}
+
+TEST(DescriptorSegmentTest, SegnoBeyondCapacityRefused) {
+  DescriptorSegment dseg;
+  SegmentDescriptor sdw;
+  sdw.valid = true;
+  dseg.Set(kMaxSegments, sdw);
+  EXPECT_FALSE(dseg.Get(kMaxSegments).valid);
+  EXPECT_FALSE(dseg.Get(kMaxSegments + 100).valid);
+  EXPECT_EQ(dseg.GetMutable(kMaxSegments), nullptr);
+  EXPECT_EQ(dseg.CountValid(), 0u);
+}
+
+TEST(DescriptorSegmentTest, SdwAddressesStableAcrossPageAllocation) {
+  DescriptorSegment dseg;
+  SegmentDescriptor sdw;
+  sdw.valid = true;
+  dseg.Set(5, sdw);
+  const SegmentDescriptor* first = &dseg.Get(5);
+  SegmentDescriptor* mutable_first = dseg.GetMutable(5);
+  EXPECT_EQ(mutable_first, first);
+  // Touch every other page of the descriptor segment.
+  for (SegNo segno = DescriptorSegment::kSdwsPerPage; segno < kMaxSegments;
+       segno += DescriptorSegment::kSdwsPerPage) {
+    dseg.Set(segno, sdw);
+  }
+  EXPECT_EQ(&dseg.Get(5), first);
+  EXPECT_EQ(dseg.CountValid(), 1u + DescriptorSegment::kPageCount - 1u);
+}
+
+TEST(DescriptorSegmentTest, ForEachValidVisitsInSegnoOrder) {
+  DescriptorSegment dseg;
+  SegmentDescriptor sdw;
+  sdw.valid = true;
+  for (SegNo segno : {4000u, 3u, 64u, 63u, 1000u}) {
+    sdw.uid = segno;
+    dseg.Set(segno, sdw);
+  }
+  dseg.Set(65, SegmentDescriptor{});  // Allocated page, invalid slot.
+  dseg.Clear(1000);
+  std::vector<SegNo> seen;
+  dseg.ForEachValid([&](SegNo segno, const SegmentDescriptor& d) {
+    EXPECT_EQ(d.uid, segno);
+    seen.push_back(segno);
+  });
+  EXPECT_EQ(seen, (std::vector<SegNo>{3, 63, 64, 4000}));
+  EXPECT_EQ(dseg.CountValid(), 4u);
+}
+
+TEST(DescriptorSegmentTest, ProcessFootprintFollowsUsedSegnos) {
+  // A process carries a page directory, not kMaxSegments SDWs: the SDW pages
+  // are allocated as segment numbers are used.
+  EXPECT_LT(sizeof(Process), 4096u);
+}
+
 // --- Core memory -------------------------------------------------------------
 
 TEST(CoreMemoryTest, PageTransferRoundTrip) {
@@ -361,6 +482,46 @@ TEST(CoreMemoryTest, PageTransferRoundTrip) {
   EXPECT_EQ(out, page);
   core.ZeroPage(2);
   EXPECT_EQ(core.ReadWord(2, 100), 0u);
+}
+
+TEST(CoreMemoryTest, UnwrittenFrameReadsZero) {
+  CoreMemory core(4);
+  EXPECT_EQ(core.frame_count(), 4u);
+  EXPECT_EQ(core.ReadWord(3, 0), 0u);
+  EXPECT_EQ(core.ReadWord(3, kPageWords - 1), 0u);
+  std::vector<Word> out(7, 99);
+  core.ReadPage(1, out);
+  EXPECT_EQ(out, std::vector<Word>(kPageWords, 0));
+  core.ZeroPage(0);  // Zeroing a never-written frame is a no-op.
+  EXPECT_EQ(core.ReadWord(0, 5), 0u);
+}
+
+TEST(CoreMemoryTest, FirstWordWriteLeavesRestOfFrameZero) {
+  CoreMemory core(2);
+  core.WriteWord(1, 17, 5);
+  std::vector<Word> out;
+  core.ReadPage(1, out);
+  std::vector<Word> expected(kPageWords, 0);
+  expected[17] = 5;
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(core.ReadWord(0, 17), 0u);  // Other frames untouched.
+}
+
+TEST(CoreMemoryTest, WritePageOntoUnwrittenFrameThenZero) {
+  CoreMemory core(3);
+  std::vector<Word> page(kPageWords);
+  for (uint32_t i = 0; i < kPageWords; ++i) {
+    page[i] = i + 1;
+  }
+  core.WritePage(0, page);
+  std::vector<Word> out;
+  core.ReadPage(0, out);
+  EXPECT_EQ(out, page);
+  core.WriteWord(0, 9, 1234);
+  EXPECT_EQ(core.ReadWord(0, 9), 1234u);
+  core.ZeroPage(0);
+  core.ReadPage(0, out);
+  EXPECT_EQ(out, std::vector<Word>(kPageWords, 0));
 }
 
 // --- Interrupt controller ----------------------------------------------------
