@@ -118,7 +118,7 @@ void RunBench(const bench::BenchOptions& options) {
   Table table({"policy", "rings", "faults (denial)", "gate crossings", "crossing cycles",
                "garbage args rejected", "data intact", "ring probes stopped"});
   for (RingMode mode : {RingMode::kHardware6180, RingMode::kSoftware645}) {
-    for (const std::string& policy : {"direct-clock", "gated-clock", "malicious"}) {
+    for (const std::string policy : {"direct-clock", "gated-clock", "malicious"}) {
       PolicyRun run = RunWith(policy, mode, touches);
       table.AddRow({policy, RingModeName(mode), Fmt(run.faults), Fmt(run.gate_crossings),
                     Fmt(run.crossing_cycles), Fmt(run.garbage_rejected),

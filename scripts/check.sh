@@ -57,14 +57,24 @@
 # default run certifies the tree too; --lint is the quick loop.
 #
 # Build trees: build/ (plain), build-asan/ (sanitized), build-tsan/ (TSan),
-# all from the repo root, so the script is safe to run from anywhere.
+# all from the repo root, so the script is safe to run from anywhere. The
+# plain tree is configured with CMake's CMAKE_COMPILE_WARNING_AS_ERROR, so a
+# new compiler warning fails the check instead of scrolling past. The
+# sanitizer trees are not: GCC documents that sanitizer instrumentation
+# raises false-positive warnings (notably -Wmaybe-uninitialized, which
+# libstdc++'s <regex> trips under ASan) and advises against combining
+# -Werror with it. They compile the same sources, so the plain tree's gate
+# covers them.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+WERROR=-DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+NO_WERROR=-DCMAKE_COMPILE_WARNING_AS_ERROR=OFF  # Explicit: the setting is cached.
+
 if [[ "${1:-}" == "--lint" ]]; then
   echo "== static certifier: mx_lint + mx_audit + fixture tests (build/) =="
-  cmake -B build -S .
+  cmake -B build -S . "$WERROR"
   cmake --build build -j --target mx_lint mx_audit lint_test audit_static_test
   (cd build && ctest --output-on-failure -L lint -j "$(nproc)")
   if command -v clang-tidy >/dev/null 2>&1; then
@@ -79,7 +89,7 @@ fi
 
 if [[ "${1:-}" == "--tsan" ]]; then
   echo "== parallel page-control suite under TSan (build-tsan/) =="
-  cmake -B build-tsan -S . -DMULTICS_SANITIZE=thread
+  cmake -B build-tsan -S . "$NO_WERROR" -DMULTICS_SANITIZE=thread
   cmake --build build-tsan -j --target mem_test stress_test
   (cd build-tsan && ctest --output-on-failure -R 'mem_test|stress_test' -j "$(nproc)")
   echo "== ok (tsan suite) =="
@@ -88,7 +98,7 @@ fi
 
 if [[ "${1:-}" == "--smp" ]]; then
   echo "== simulated multiprocessor: tier-1 ctest at MULTICS_CPUS=4 (build/) =="
-  cmake -B build -S .
+  cmake -B build -S . "$WERROR"
   cmake --build build -j
   (cd build && MULTICS_CPUS=4 ctest --output-on-failure -j "$(nproc)")
   echo "== smp scheduler/determinism tests at 1, 2, and 6 CPUs =="
@@ -103,13 +113,13 @@ fi
 
 if [[ "${1:-}" == "--sessions" ]]; then
   echo "== session engine + scheduler suite under ASan+UBSan (build-asan/) =="
-  cmake -B build-asan -S . -DMULTICS_SANITIZE=ON
+  cmake -B build-asan -S . "$NO_WERROR" -DMULTICS_SANITIZE=ON
   cmake --build build-asan -j --target session_test sched_test bench_sessions
   (cd build-asan && ctest --output-on-failure -R 'session_test|sched_test|bench_sessions_smoke' -j "$(nproc)")
   echo "== bench_sessions full run under ASan (100/1k/10k sessions, MLF vs FIFO) =="
   ./build-asan/bench/bench_sessions --json=build-asan/BENCH_SESSIONS_ASAN.json
   echo "== tier-1 ctest with the MLF scheduler (build/) =="
-  cmake -B build -S .
+  cmake -B build -S . "$WERROR"
   cmake --build build -j
   (cd build && ctest --output-on-failure -j "$(nproc)")
   echo "== ok (sessions suite) =="
@@ -118,7 +128,7 @@ fi
 
 if [[ "${1:-}" == "--certify" ]]; then
   echo "== exhaustive certification suite (build/) =="
-  cmake -B build -S .
+  cmake -B build -S . "$WERROR"
   cmake --build build -j --target mx_mc mx_lint modelcheck_test lint_test
   echo "== certify- and lint-labeled ctests =="
   (cd build && ctest --output-on-failure -L 'certify|lint' -j "$(nproc)")
@@ -146,7 +156,7 @@ if [[ "${1:-}" == "--perf" ]]; then
       exit 1
     fi
     echo "== rebaseline: regenerating bench/smoke_baseline.json (build/) =="
-    cmake -B build -S .
+    cmake -B build -S . "$WERROR"
     cmake --build build -j --target bench_harness
     MULTICS_CPUS=1 MX_HOST_PROFILE=1 \
       ./build/bench/bench_harness --smoke --json=bench/smoke_baseline.json
@@ -155,7 +165,7 @@ if [[ "${1:-}" == "--perf" ]]; then
     exit 0
   fi
   echo "== host-performance observatory suite (build/) =="
-  cmake -B build -S .
+  cmake -B build -S . "$WERROR"
   cmake --build build -j --target bench_harness bench_cost_of_security mx_top hostprof_test
   echo "== perf-labeled ctests (mx_top --once) + hostprof_test =="
   (cd build && ctest --output-on-failure -L perf)
@@ -182,7 +192,7 @@ fi
 
 if [[ "${1:-}" == "--faults" ]]; then
   echo "== fault-injection suite under ASan+UBSan (build-asan/) =="
-  cmake -B build-asan -S . -DMULTICS_SANITIZE=ON
+  cmake -B build-asan -S . "$NO_WERROR" -DMULTICS_SANITIZE=ON
   cmake --build build-asan -j --target inject_test salvager_test stress_test bench_fault_storm
   (cd build-asan && ctest --output-on-failure -R 'inject_test|salvager_test|stress_test|bench_fault_storm' -j "$(nproc)")
   echo "== ok (fault suite) =="
@@ -190,7 +200,7 @@ if [[ "${1:-}" == "--faults" ]]; then
 fi
 
 echo "== tier-1: configure + build + ctest (build/) =="
-cmake -B build -S .
+cmake -B build -S . "$WERROR"
 cmake --build build -j
 (cd build && ctest --output-on-failure -j)
 
@@ -203,7 +213,7 @@ echo "== sanitized: ASan+UBSan build + ctest (build-asan/) =="
 # The full ctest list includes the fault-injection suite (inject_test and the
 # bench_fault_storm smokes), so every injected-fault recovery path runs under
 # the sanitizers here too.
-cmake -B build-asan -S . -DMULTICS_SANITIZE=ON
+cmake -B build-asan -S . "$NO_WERROR" -DMULTICS_SANITIZE=ON
 cmake --build build-asan -j
 (cd build-asan && ctest --output-on-failure -j)
 

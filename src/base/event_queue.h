@@ -109,8 +109,8 @@ class EventQueue {
 
  private:
   // Inline storage covers the largest steady-state poster (a paging-device
-  // completion lambda: this, address, done-callback, a vector of words, a
-  // retry counter). Larger callables fall back to one heap allocation held
+  // completion lambda: this, address, done-callback, a page block, a retry
+  // counter). Larger callables fall back to one heap allocation held
   // through a pointer in the same storage.
   static constexpr size_t kInlineBytes = 120;
   static constexpr uint32_t kBlockShift = 6;  // 64 nodes per block.

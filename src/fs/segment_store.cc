@@ -7,18 +7,26 @@ namespace multics {
 SegmentStore::SegmentStore(Machine* machine, ActiveSegmentTable* ast, PagingDevice* disk)
     : machine_(machine), ast_(ast), disk_(disk) {}
 
+SegmentStore::Entry& SegmentStore::EntryFor(Uid uid) {
+  if (uid >= entries_.size()) {
+    entries_.resize(uid + 1);
+  }
+  return entries_[uid];
+}
+
 Result<Uid> SegmentStore::Create(const SegmentAttributes& attrs, bool is_directory, Uid parent) {
   if (parent != kInvalidUid) {
-    auto it = branches_.find(parent);
-    if (it == branches_.end()) {
+    const Branch* dir = Find(parent);
+    if (dir == nullptr) {
       return Status::kNoSuchDirectory;
     }
-    if (!it->second.is_directory) {
+    if (!dir->is_directory) {
       return Status::kNotADirectory;
     }
   }
   Uid uid = next_uid_++;
-  Branch branch;
+  auto owned = std::make_unique<Branch>();
+  Branch& branch = *owned;
   branch.uid = uid;
   branch.parent = parent;
   branch.is_directory = is_directory;
@@ -32,27 +40,28 @@ Result<Uid> SegmentStore::Create(const SegmentAttributes& attrs, bool is_directo
   branch.author = attrs.author;
   branch.date_created = machine_->clock().now();
   branch.date_modified = branch.date_created;
-  branches_[uid] = std::move(branch);
+  EntryFor(uid).branch = std::move(owned);
+  ++segment_count_;
   return uid;
 }
 
 Result<Branch*> SegmentStore::Get(Uid uid) {
-  auto it = branches_.find(uid);
-  if (it == branches_.end()) {
+  Branch* branch = Find(uid);
+  if (branch == nullptr) {
     return Status::kNoSuchSegment;
   }
-  return &it->second;
+  return branch;
 }
 
 Status SegmentStore::QuotaCharge(Uid parent, int64_t delta_pages) {
   // Find the nearest ancestor directory carrying a quota.
   Uid current = parent;
   while (current != kInvalidUid) {
-    auto it = branches_.find(current);
-    if (it == branches_.end()) {
+    Branch* found = Find(current);
+    if (found == nullptr) {
       break;
     }
-    Branch& dir = it->second;
+    Branch& dir = *found;
     if (dir.quota_pages > 0) {
       int64_t next_used = static_cast<int64_t>(dir.quota_used) + delta_pages;
       if (next_used < 0) {
@@ -73,65 +82,67 @@ Result<ActiveSegment*> SegmentStore::Activate(Uid uid, bool wired) {
   // Activation mutates the AST (and may evict through DeactivateNow, which
   // re-enters this lock); the page-table lock nests inside when a flush runs.
   LockGuard ast(machine_->locks().Ast());
-  auto it = branches_.find(uid);
-  if (it == branches_.end()) {
+  Branch* branch = Find(uid);
+  if (branch == nullptr) {
     return Status::kNoSuchSegment;
   }
-  Branch& branch = it->second;
 
   if (ActiveSegment* existing = ast_->Find(uid); existing != nullptr) {
     return existing;
   }
 
-  auto seg = ast_->Activate(uid, branch.pages, branch.disk_home);
+  auto seg = ast_->Activate(uid, branch->pages, branch->disk_home);
   if (!seg.ok() && seg.status() == Status::kResourceExhausted) {
     MX_RETURN_IF_ERROR(EvictOneInactive());
-    seg = ast_->Activate(uid, branch.pages, branch.disk_home);
+    seg = ast_->Activate(uid, branch->pages, branch->disk_home);
   }
   if (!seg.ok()) {
     return seg.status();
   }
   seg.value()->wired = wired;
+  Entry& entry = entries_[uid];
+  entry.active_unwired = !wired;
+  if (entry.active_unwired && entry.refs == 0) {
+    ++idle_segments_;
+  }
   return seg.value();
 }
 
-Status SegmentStore::DropRef(Uid uid) {
-  auto it = refs_.find(uid);
-  if (it == refs_.end() || it->second == 0) {
-    return Status::kFailedPrecondition;
+void SegmentStore::AddRef(Uid uid) {
+  Entry& entry = EntryFor(uid);
+  if (entry.refs++ == 0 && entry.active_unwired) {
+    --idle_segments_;
   }
-  --it->second;
-  return Status::kOk;
 }
 
-uint32_t SegmentStore::RefCount(Uid uid) const {
-  auto it = refs_.find(uid);
-  return it == refs_.end() ? 0 : it->second;
+Status SegmentStore::DropRef(Uid uid) {
+  if (RefCount(uid) == 0) {
+    return Status::kFailedPrecondition;
+  }
+  Entry& entry = entries_[uid];
+  if (--entry.refs == 0 && entry.active_unwired) {
+    ++idle_segments_;
+  }
+  return Status::kOk;
 }
 
 Status SegmentStore::Deactivate(Uid uid) { return DeactivateNow(uid); }
 
 Status SegmentStore::EvictOneInactive() {
-  // Prefer segments nobody has initiated; fall back to any unwired segment
-  // (its SDWs get invalidated through the hook and reload on segment fault).
-  Uid zero_ref_victim = kInvalidUid;
-  Uid any_victim = kInvalidUid;
-  ast_->ForEach([&](ActiveSegment* seg) {
-    if (seg->wired) {
-      return;
-    }
-    if (any_victim == kInvalidUid) {
-      any_victim = seg->uid;
-    }
-    if (zero_ref_victim == kInvalidUid && RefCount(seg->uid) == 0) {
-      zero_ref_victim = seg->uid;
-    }
+  // Prefer the first segment (in AST order) nobody has initiated; fall back
+  // to the first unwired one (its SDWs get invalidated through the hook and
+  // reload on segment fault). idle_segments_ says which of the two the walk
+  // is looking for, so it stops at the victim instead of scanning the table.
+  const bool want_idle = idle_segments_ > 0;
+  ActiveSegment* victim = ast_->FindFirst([&](const ActiveSegment& seg) {
+    return !seg.wired && (!want_idle || RefCount(seg.uid) == 0);
   });
-  Uid victim = zero_ref_victim != kInvalidUid ? zero_ref_victim : any_victim;
-  if (victim == kInvalidUid) {
+  if (victim == nullptr) {
     return Status::kResourceExhausted;
   }
-  return DeactivateNow(victim);
+  MX_RETURN_IF_ERROR(DeactivateNow(victim->uid));
+  ++ast_evictions_;
+  return Status::kOk;
 }
 
 Status SegmentStore::DeactivateNow(Uid uid) {
@@ -146,17 +157,22 @@ Status SegmentStore::DeactivateNow(Uid uid) {
   CHECK(page_control_ != nullptr);
   MX_RETURN_IF_ERROR(page_control_->FlushSegment(seg));
 
-  auto it = branches_.find(uid);
-  CHECK(it != branches_.end());
-  Branch& branch = it->second;
-  branch.pages = seg->pages;
-  branch.disk_home.assign(seg->pages, kInvalidDevAddr);
+  Branch* branch = Find(uid);
+  CHECK(branch != nullptr);
+  branch->pages = seg->pages;
+  branch->disk_home.assign(seg->pages, kInvalidDevAddr);
   for (PageNo p = 0; p < seg->pages; ++p) {
     if (seg->location[p].level == PageLevel::kDisk) {
-      branch.disk_home[p] = seg->location[p].addr;
+      branch->disk_home[p] = seg->location[p].addr;
     }
   }
-  return ast_->Deactivate(uid);
+  MX_RETURN_IF_ERROR(ast_->Deactivate(uid));
+  Entry& entry = entries_[uid];
+  if (entry.active_unwired && entry.refs == 0) {
+    --idle_segments_;
+  }
+  entry.active_unwired = false;
+  return Status::kOk;
 }
 
 Status SegmentStore::FreePageStorage(ActiveSegment* seg, PageNo page) {
@@ -188,11 +204,11 @@ Status SegmentStore::FreePageStorage(ActiveSegment* seg, PageNo page) {
 
 Status SegmentStore::SetLength(Uid uid, uint32_t pages) {
   LockGuard ast(machine_->locks().Ast());
-  auto it = branches_.find(uid);
-  if (it == branches_.end()) {
+  Branch* found = Find(uid);
+  if (found == nullptr) {
     return Status::kNoSuchSegment;
   }
-  Branch& branch = it->second;
+  Branch& branch = *found;
   if (pages > branch.max_pages || pages > kMaxSegmentPages) {
     return Status::kSegmentTooLong;
   }
@@ -242,24 +258,24 @@ Status SegmentStore::SetLength(Uid uid, uint32_t pages) {
 }
 
 Status SegmentStore::Delete(Uid uid) {
-  auto it = branches_.find(uid);
-  if (it == branches_.end()) {
+  Branch* branch = Find(uid);
+  if (branch == nullptr) {
     return Status::kNoSuchSegment;
   }
-  if (auto ref_it = refs_.find(uid); ref_it != refs_.end() && ref_it->second > 0) {
+  if (RefCount(uid) > 0) {
     return Status::kFailedPrecondition;  // Still initiated somewhere.
   }
   if (ast_->Find(uid) != nullptr) {
     MX_RETURN_IF_ERROR(DeactivateNow(uid));
   }
-  Branch& branch = it->second;
-  for (DevAddr addr : branch.disk_home) {
+  for (DevAddr addr : branch->disk_home) {
     if (addr != kInvalidDevAddr) {
       (void)disk_->Free(addr);
     }
   }
-  (void)QuotaCharge(branch.parent, -static_cast<int64_t>(branch.pages));
-  branches_.erase(it);
+  (void)QuotaCharge(branch->parent, -static_cast<int64_t>(branch->pages));
+  entries_[uid].branch.reset();
+  --segment_count_;
   return Status::kOk;
 }
 

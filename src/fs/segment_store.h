@@ -9,7 +9,8 @@
 #define SRC_FS_SEGMENT_STORE_H_
 
 #include <functional>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "src/fs/branch.h"
 #include "src/hw/machine.h"
@@ -33,8 +34,9 @@ class SegmentStore {
   // quota, removes the branch.
   Status Delete(Uid uid);
 
+  // Branch pointers stay valid until the branch is deleted.
   Result<Branch*> Get(Uid uid);
-  bool Exists(Uid uid) const { return branches_.contains(uid); }
+  bool Exists(Uid uid) const { return uid < entries_.size() && entries_[uid].branch != nullptr; }
 
   // Activation binds the segment into the AST (idempotent). Initiation
   // references are tracked separately with AddRef/DropRef: a referenced
@@ -43,9 +45,9 @@ class SegmentStore {
   // takes a segment fault and reactivates it, exactly as Multics did.
   Result<ActiveSegment*> Activate(Uid uid, bool wired = false);
 
-  void AddRef(Uid uid) { ++refs_[uid]; }
+  void AddRef(Uid uid);
   Status DropRef(Uid uid);
-  uint32_t RefCount(Uid uid) const;
+  uint32_t RefCount(Uid uid) const { return uid < entries_.size() ? entries_[uid].refs : 0; }
 
   // Invoked just before a segment's AST entry is torn down, so the kernel
   // can invalidate descriptor-segment entries pointing at its page table.
@@ -62,13 +64,19 @@ class SegmentStore {
   Status DeactivateAll();
 
   uint32_t active_count() const { return ast_->size(); }
-  uint64_t segment_count() const { return branches_.size(); }
+  uint64_t segment_count() const { return segment_count_; }
 
-  // Whole-catalog iteration, for the salvager and the backup daemon.
+  // Segments deactivated to make AST room since construction.
+  uint64_t ast_evictions() const { return ast_evictions_; }
+
+  // Whole-catalog iteration in uid order, for the salvager and the backup
+  // daemon.
   template <typename Fn>
   void ForEachBranch(Fn&& fn) {
-    for (auto& [uid, branch] : branches_) {
-      fn(branch);
+    for (Entry& entry : entries_) {
+      if (entry.branch != nullptr) {
+        fn(*entry.branch);
+      }
     }
   }
 
@@ -81,13 +89,28 @@ class SegmentStore {
   Status EvictOneInactive();      // Make AST room.
   Status FreePageStorage(ActiveSegment* seg, PageNo page);
 
+  // Everything the store keeps per uid. Uids are handed out densely from 1,
+  // so the table is indexed by uid directly.
+  struct Entry {
+    std::unique_ptr<Branch> branch;  // Null: never created, or deleted.
+    uint32_t refs = 0;               // Initiations (AddRef - DropRef).
+    bool active_unwired = false;     // In the AST and an eviction candidate.
+  };
+
+  Branch* Find(Uid uid) { return Exists(uid) ? entries_[uid].branch.get() : nullptr; }
+  Entry& EntryFor(Uid uid);  // Grows the table to cover `uid`.
+
   Machine* machine_;
   ActiveSegmentTable* ast_;
   PagingDevice* disk_;
   PageControl* page_control_ = nullptr;
 
-  std::unordered_map<Uid, Branch> branches_;
-  std::unordered_map<Uid, uint32_t> refs_;
+  std::vector<Entry> entries_;  // Indexed by uid; entry 0 is never used.
+  uint64_t segment_count_ = 0;
+  // Active, unwired segments with no initiations: the ones EvictOneInactive
+  // prefers. While it is zero the first unwired AST entry is the victim.
+  uint32_t idle_segments_ = 0;
+  uint64_t ast_evictions_ = 0;
   std::function<void(Uid)> deactivate_hook_;
   Uid next_uid_ = 1;
 };

@@ -4,10 +4,12 @@
 // and disk live in src/mem/ with their latency models. Core references cost
 // one cycle and are charged by the processor, not here.
 //
-// A frame's words are allocated on its first write, so the host footprint
-// follows the frames the simulation has touched rather than the configured
-// core size. A never-written frame reads as zeros, exactly as a zero-filled
-// one would.
+// A frame holds one owned page block (PageBlock), allocated on the frame's
+// first write, so the host footprint follows the pages the simulation has
+// touched rather than the configured core size. A null block is a page of
+// zeros, exactly as a zero-filled frame would read. Paging-device slots
+// (src/mem/paging_device.h) hold the same blocks, so page control moves a
+// page between levels by handing its block over instead of copying words.
 
 #ifndef SRC_HW_CORE_MEMORY_H_
 #define SRC_HW_CORE_MEMORY_H_
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/base/log.h"
@@ -24,6 +27,21 @@ namespace multics {
 
 using FrameIndex = uint32_t;
 inline constexpr FrameIndex kInvalidFrame = UINT32_MAX;
+
+// One page of words, owned by whichever core frame or device slot holds the
+// page. Null is a page of zeros.
+using PageBlock = std::unique_ptr<Word[]>;
+
+// A new block holding a copy of `words` (kPageWords of them); null copies as
+// null.
+inline PageBlock CopyPageBlock(const Word* words) {
+  if (words == nullptr) {
+    return nullptr;
+  }
+  PageBlock copy = std::make_unique_for_overwrite<Word[]>(kPageWords);
+  std::copy_n(words, kPageWords, copy.get());
+  return copy;
+}
 
 class CoreMemory {
  public:
@@ -41,32 +59,30 @@ class CoreMemory {
   void WriteWord(FrameIndex frame, uint32_t offset, Word value) {
     CHECK_LT(frame, frame_count());
     CHECK_LT(offset, kPageWords);
-    std::unique_ptr<Word[]>& words = frames_[frame];
+    PageBlock& words = frames_[frame];
     if (words == nullptr) {
       words = std::make_unique<Word[]>(kPageWords);  // Value-initialized: zeros.
     }
     words[offset] = value;
   }
 
-  // Whole-page transfers used by page control and the image loader.
-  void ReadPage(FrameIndex frame, std::vector<Word>& out) const {
+  // Whole-page transfers used by page control. A page leaving core for good
+  // takes the frame's block with it (the frame then reads as zeros); a page
+  // arriving hands its block to the frame, dropping whatever block the
+  // frame held. CopyPage snapshots the frame without disturbing it.
+  PageBlock TakePage(FrameIndex frame) {
     CHECK_LT(frame, frame_count());
-    const Word* words = frames_[frame].get();
-    if (words == nullptr) {
-      out.assign(kPageWords, 0);
-    } else {
-      out.assign(words, words + kPageWords);
-    }
+    return std::move(frames_[frame]);
   }
 
-  void WritePage(FrameIndex frame, const std::vector<Word>& in) {
+  void PutPage(FrameIndex frame, PageBlock block) {
     CHECK_LT(frame, frame_count());
-    CHECK_EQ(in.size(), kPageWords);
-    std::unique_ptr<Word[]>& words = frames_[frame];
-    if (words == nullptr) {
-      words = std::make_unique_for_overwrite<Word[]>(kPageWords);
-    }
-    std::copy(in.begin(), in.end(), words.get());
+    frames_[frame] = std::move(block);
+  }
+
+  PageBlock CopyPage(FrameIndex frame) const {
+    CHECK_LT(frame, frame_count());
+    return CopyPageBlock(frames_[frame].get());
   }
 
   // A never-written frame already reads as zeros, so it stays unallocated.
@@ -78,7 +94,7 @@ class CoreMemory {
   }
 
  private:
-  std::vector<std::unique_ptr<Word[]>> frames_;  // Null until first written.
+  std::vector<PageBlock> frames_;  // Null: a page of zeros.
 };
 
 }  // namespace multics

@@ -34,6 +34,11 @@ const char* PageLevelName(PageLevel level);
 struct PageLoc {
   PageLevel level = PageLevel::kZero;
   DevAddr addr = kInvalidDevAddr;
+  // While kInTransit: which asynchronous transfer owns the page. Completions
+  // match on it, never on `addr` — the bulk store and the disk both hand out
+  // addresses from 0, so an address alone cannot tell a stale transfer on
+  // one device from a live one on the other.
+  uint64_t transfer = 0;
 };
 
 struct ActiveSegment {
@@ -78,6 +83,17 @@ class ActiveSegmentTable {
     for (auto& [uid, seg] : table_) {
       fn(seg.get());
     }
+  }
+
+  // The first segment, in ForEach order, satisfying `pred`; null if none.
+  template <typename Pred>
+  ActiveSegment* FindFirst(Pred&& pred) {
+    for (auto& [uid, seg] : table_) {
+      if (pred(*seg)) {
+        return seg.get();
+      }
+    }
+    return nullptr;
   }
 
  private:

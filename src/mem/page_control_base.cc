@@ -16,15 +16,14 @@ void PageControlBase::ChargeStep(const char* category, Cycles cycles) {
 }
 
 Status PageControlBase::ReadSyncUnlocked(PagingDevice* device, DevAddr addr,
-                                         std::vector<Word>* out) {
+                                         PagingDevice::ReadMode mode, PageBlock* out) {
   LockWaitRegion unlock(machine_->locks().PageTable());
-  return device->ReadSync(addr, out);
+  return device->ReadSync(addr, mode, out);
 }
 
-Status PageControlBase::WriteSyncUnlocked(PagingDevice* device, DevAddr addr,
-                                          std::vector<Word> data) {
+Status PageControlBase::WriteSyncUnlocked(PagingDevice* device, DevAddr addr, PageBlock* block) {
   LockWaitRegion unlock(machine_->locks().PageTable());
-  return device->WriteSync(addr, std::move(data));
+  return device->WriteSync(addr, block);
 }
 
 void PageControlBase::AddBulkResident(ActiveSegment* seg, PageNo page) {
@@ -64,9 +63,9 @@ Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, Fram
       break;
     }
     case PageLevel::kBulk: {
-      std::vector<Word> data;
-      MX_RETURN_IF_ERROR(ReadSyncUnlocked(bulk_, loc.addr, &data));
-      machine_->core().WritePage(frame, data);
+      PageBlock block;
+      MX_RETURN_IF_ERROR(ReadSyncUnlocked(bulk_, loc.addr, PagingDevice::ReadMode::kMove, &block));
+      machine_->core().PutPage(frame, std::move(block));
       MX_RETURN_IF_ERROR(bulk_->Free(loc.addr));
       RemoveBulkResident(seg, page);
       ++metrics_.fetches_from_bulk;
@@ -74,9 +73,9 @@ Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, Fram
       break;
     }
     case PageLevel::kDisk: {
-      std::vector<Word> data;
-      MX_RETURN_IF_ERROR(ReadSyncUnlocked(disk_, loc.addr, &data));
-      machine_->core().WritePage(frame, data);
+      PageBlock block;
+      MX_RETURN_IF_ERROR(ReadSyncUnlocked(disk_, loc.addr, PagingDevice::ReadMode::kMove, &block));
+      machine_->core().PutPage(frame, std::move(block));
       MX_RETURN_IF_ERROR(disk_->Free(loc.addr));
       ++metrics_.fetches_from_disk;
       machine_->meter().Emit(TraceEventKind::kPageFetch, "fetch_disk", page);
@@ -129,12 +128,12 @@ Status PageControlBase::EvictCorePageSync(FrameIndex frame, bool* cascaded) {
     return addr_or.status();
   }
   DevAddr addr = addr_or.value();
-  std::vector<Word> data;
-  machine_->core().ReadPage(pte.frame, data);
-  Status write_st = WriteSyncUnlocked(bulk_, addr, std::move(data));
+  PageBlock block = machine_->core().TakePage(pte.frame);
+  Status write_st = WriteSyncUnlocked(bulk_, addr, &block);
   if (write_st != Status::kOk) {
-    // The only durable copy is still the core frame: reconnect the PTE and
-    // surface the device error instead of losing the page.
+    // The write handed the only copy back: return it to the frame, reconnect
+    // the PTE and surface the device error instead of losing the page.
+    machine_->core().PutPage(pte.frame, std::move(block));
     (void)bulk_->Free(addr);
     pte.present = true;
     return write_st;
@@ -157,9 +156,10 @@ Status PageControlBase::MoveOldestBulkPageToDiskSync() {
   }
   PageLoc& loc = seg->location[page];
   // The bulk copy stays allocated until the disk copy is durable; freeing it
-  // first would make a failed disk write lose the only copy of the page.
-  std::vector<Word> data;
-  Status read_st = ReadSyncUnlocked(bulk_, loc.addr, &data);
+  // first would make a failed disk write lose the only copy of the page. So
+  // the read copies, and a failed write just drops the copy.
+  PageBlock block;
+  Status read_st = ReadSyncUnlocked(bulk_, loc.addr, PagingDevice::ReadMode::kCopy, &block);
   if (read_st != Status::kOk) {
     AddBulkResident(seg, page);  // Still on bulk; keep it tracked.
     return read_st;
@@ -169,7 +169,7 @@ Status PageControlBase::MoveOldestBulkPageToDiskSync() {
     AddBulkResident(seg, page);
     return disk_addr.status();
   }
-  Status write_st = WriteSyncUnlocked(disk_, disk_addr.value(), std::move(data));
+  Status write_st = WriteSyncUnlocked(disk_, disk_addr.value(), &block);
   if (write_st != Status::kOk) {
     (void)disk_->Free(disk_addr.value());
     AddBulkResident(seg, page);
@@ -190,12 +190,13 @@ Status PageControlBase::FlushPageSync(ActiveSegment* seg, PageNo page) {
       return Status::kOk;
     case PageLevel::kCore: {
       PageTableEntry& pte = seg->page_table.entries[page];
-      std::vector<Word> data;
-      machine_->core().ReadPage(pte.frame, data);
       MX_ASSIGN_OR_RETURN(DevAddr addr, disk_->Allocate());
-      Status write_st = WriteSyncUnlocked(disk_, addr, std::move(data));
+      PageBlock block = machine_->core().TakePage(pte.frame);
+      Status write_st = WriteSyncUnlocked(disk_, addr, &block);
       if (write_st != Status::kOk) {
-        (void)disk_->Free(addr);  // Core copy intact; just drop the slot.
+        // The write handed the page back: the frame keeps the only copy.
+        machine_->core().PutPage(pte.frame, std::move(block));
+        (void)disk_->Free(addr);
         return write_st;
       }
       pte.present = false;
@@ -207,10 +208,10 @@ Status PageControlBase::FlushPageSync(ActiveSegment* seg, PageNo page) {
     case PageLevel::kBulk: {
       // Bulk copy outlives the transfer: free it only after the disk write
       // commits, so a device fault cannot lose the page.
-      std::vector<Word> data;
-      MX_RETURN_IF_ERROR(ReadSyncUnlocked(bulk_, loc.addr, &data));
+      PageBlock block;
+      MX_RETURN_IF_ERROR(ReadSyncUnlocked(bulk_, loc.addr, PagingDevice::ReadMode::kCopy, &block));
       MX_ASSIGN_OR_RETURN(DevAddr addr, disk_->Allocate());
-      Status write_st = WriteSyncUnlocked(disk_, addr, std::move(data));
+      Status write_st = WriteSyncUnlocked(disk_, addr, &block);
       if (write_st != Status::kOk) {
         (void)disk_->Free(addr);
         return write_st;

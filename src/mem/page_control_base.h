@@ -1,5 +1,12 @@
 // Shared machinery for the two page-control designs: synchronous page moves
 // between hierarchy levels, bulk-store residency tracking, and flush.
+//
+// Pages travel as owned blocks (PageBlock). A transfer that releases its
+// source moves the block: eviction core->bulk, flush core->disk, and every
+// fetch into core. A transfer whose source must survive until the
+// destination commits copies it exactly once: bulk->disk, whose bulk copy
+// stays authoritative until the disk write lands. A failed write hands its
+// block back to where it came from, so no device fault loses a page.
 
 #ifndef SRC_MEM_PAGE_CONTROL_BASE_H_
 #define SRC_MEM_PAGE_CONTROL_BASE_H_
@@ -53,8 +60,9 @@ class PageControlBase : public PageControl {
   // stalls on the device. When the lock is held reentrantly (global-lock
   // mode: the gate span owns the outer hold) the suspend is a no-op and the
   // giant lock covers the whole transfer.
-  Status ReadSyncUnlocked(PagingDevice* device, DevAddr addr, std::vector<Word>* out);
-  Status WriteSyncUnlocked(PagingDevice* device, DevAddr addr, std::vector<Word> data);
+  Status ReadSyncUnlocked(PagingDevice* device, DevAddr addr, PagingDevice::ReadMode mode,
+                          PageBlock* out);
+  Status WriteSyncUnlocked(PagingDevice* device, DevAddr addr, PageBlock* block);
 
   Machine* machine_;
   CoreMap* core_map_;

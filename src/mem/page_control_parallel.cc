@@ -108,56 +108,23 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
         ++metrics_.zero_fills;
         break;
       }
-      case PageLevel::kBulk: {
-        bool done = false;
-        Status read_st = Status::kOk;
-        DevAddr addr = loc.addr;
-        std::vector<Word> data;
-        bulk_->ReadAsyncUrgent(addr, [&](Status st, std::vector<Word> page_data) {
-          read_st = st;
-          data = std::move(page_data);
-          done = true;
-        });
-        Status waited = WaitFor(done);
-        if (waited != Status::kOk) {
-          core_map_->Release(frame.value());
-          return waited;
-        }
-        if (read_st != Status::kOk) {
-          // Unrecoverable device fault (retries exhausted inside the
-          // device). The bulk copy stays where it is; the fault surfaces to
-          // the faulting program as a Status — degrade, don't crash.
-          core_map_->Release(frame.value());
-          return read_st;
-        }
-        machine_->core().WritePage(frame.value(), data);
-        MX_RETURN_IF_ERROR(bulk_->Free(addr));
-        RemoveBulkResident(seg, page);
-        ++metrics_.fetches_from_bulk;
-        break;
-      }
+      case PageLevel::kBulk:
       case PageLevel::kDisk: {
-        bool done = false;
-        Status read_st = Status::kOk;
-        DevAddr addr = loc.addr;
-        std::vector<Word> data;
-        disk_->ReadAsyncUrgent(addr, [&](Status st, std::vector<Word> page_data) {
-          read_st = st;
-          data = std::move(page_data);
-          done = true;
-        });
-        Status waited = WaitFor(done);
-        if (waited != Status::kOk) {
+        const bool from_bulk = loc.level == PageLevel::kBulk;
+        Status fetch_st = FetchUrgent(from_bulk ? bulk_ : disk_, loc.addr, frame.value());
+        if (fetch_st != Status::kOk) {
+          // Unrecoverable device fault (retries exhausted inside the
+          // device). The page stays where it is; the fault surfaces to the
+          // faulting program as a Status — degrade, don't crash.
           core_map_->Release(frame.value());
-          return waited;
+          return fetch_st;
         }
-        if (read_st != Status::kOk) {
-          core_map_->Release(frame.value());
-          return read_st;
+        if (from_bulk) {
+          RemoveBulkResident(seg, page);
+          ++metrics_.fetches_from_bulk;
+        } else {
+          ++metrics_.fetches_from_disk;
         }
-        machine_->core().WritePage(frame.value(), data);
-        MX_RETURN_IF_ERROR(disk_->Free(addr));
-        ++metrics_.fetches_from_disk;
         break;
       }
       case PageLevel::kInTransit:
@@ -185,6 +152,26 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
     return Status::kOk;
   }
   return Status::kInternal;  // 16 daemon races in a row: give up loudly.
+}
+
+Status ParallelPageControl::FetchUrgent(PagingDevice* device, DevAddr addr, FrameIndex frame) {
+  // The read moves the page's block out of its slot, which is freed as soon
+  // as the read lands. Nothing else frees the slot meanwhile: the events the
+  // wait pumps never run a process step, so no second fault on the page can
+  // start, and a bulk->disk move the daemon starts during the wait needs a
+  // bulk read plus a disk write before it frees anything.
+  bool done = false;
+  Status read_st = Status::kOk;
+  PageBlock block;
+  device->ReadAsyncUrgent(addr, PagingDevice::ReadMode::kMove, [&](Status st, PageBlock read) {
+    read_st = st;
+    block = std::move(read);
+    done = true;
+  });
+  MX_RETURN_IF_ERROR(WaitFor(done));
+  MX_RETURN_IF_ERROR(read_st);  // A failed read left the slot untouched.
+  machine_->core().PutPage(frame, std::move(block));
+  return device->Free(addr);
 }
 
 void ParallelPageControl::WakeCoreDaemon() {
@@ -218,12 +205,12 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
   PageNo page = fi.page;
   fi.evicting = true;
 
-  // Disconnect the PTE and capture the page contents (the I/O controller
-  // reads the frame; the frame itself stays reserved until completion).
+  // Disconnect the PTE and snapshot the page contents (the I/O controller
+  // reads the frame; the frame itself stays reserved, and reclaimable, until
+  // completion, so the write carries a copy).
   PageTableEntry& pte = seg->page_table.entries[page];
   pte.present = false;
-  std::vector<Word> data;
-  machine_->core().ReadPage(pte.frame, data);
+  PageBlock snapshot = machine_->core().CopyPage(pte.frame);
   seg->location[page] = PageLoc{PageLevel::kInTransit, kInvalidDevAddr};
 
   ++evictions_in_flight_;
@@ -254,51 +241,52 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
     --metrics_.core_evictions;
     return;
   }
-  // Remember the destination; a reclaim flips the location back to kCore and
-  // the completion below detects it by the mismatch.
-  seg->location[page] = PageLoc{PageLevel::kInTransit, addr.value()};
+  // A reclaim flips the location back to kCore, and a later eviction gives
+  // the page a new transfer; the completion below detects either by the
+  // transfer mismatch.
+  const uint64_t transfer = ++last_transfer_;
+  seg->location[page] = PageLoc{PageLevel::kInTransit, addr.value(), transfer};
 
-  device->WriteAsync(addr.value(), std::move(data),
-                     [this, seg, page, victim, target, addr = addr.value(),
-                      device](Status st) {
-                       LockGuard page_table(machine_->locks().PageTable());
-                       const PageLoc& loc = seg->location[page];
-                       --evictions_in_flight_;
-                       if (loc.level != PageLevel::kInTransit || loc.addr != addr) {
-                         // Reclaimed (or re-evicted) while in flight: the
-                         // frame stayed with its page; just drop the slot.
-                         (void)device->Free(addr);
-                         return;
-                       }
-                       if (st != Status::kOk) {
-                         // The write never committed; the frame still holds
-                         // the only copy. Undo the eviction and keep the
-                         // page in core — degraded, not lost.
-                         (void)device->Free(addr);
-                         PageTableEntry& entry = seg->page_table.entries[page];
-                         entry.present = true;
-                         seg->location[page] = PageLoc{PageLevel::kCore, kInvalidDevAddr};
-                         FrameInfo& info = core_map_->info_mutable(victim);
-                         info.evicting = false;
-                         --metrics_.core_evictions;
-                         return;
-                       }
-                       seg->location[page] = PageLoc{target, addr};
-                       if (target == PageLevel::kBulk) {
-                         AddBulkResident(seg, page);
-                       }
-                       machine_->meter().Emit(TraceEventKind::kPageEvictDone, "evict_async",
-                                              page);
-                       FrameInfo& info = core_map_->info_mutable(victim);
-                       info.evicting = false;
-                       policy_->NotifyFreed(victim);
-                       core_map_->Release(victim);
-                       // Keep the pool topped up if demand outran us.
-                       if (core_map_->free_count() + evictions_in_flight_ <
-                           config_.core_low_water) {
-                         WakeCoreDaemon();
-                       }
-                     });
+  device->WriteAsync(
+      addr.value(), std::move(snapshot),
+      [this, seg, page, victim, target, addr = addr.value(), device, transfer](Status st,
+                                                                              PageBlock) {
+        // A failed write hands the snapshot back; dropping it is safe,
+        // because the frame still holds the page.
+        LockGuard page_table(machine_->locks().PageTable());
+        --evictions_in_flight_;
+        if (!OwnsPage(seg->location[page], transfer)) {
+          // Reclaimed (or re-evicted) while in flight: the frame stayed with
+          // its page; just drop the slot.
+          (void)device->Free(addr);
+          return;
+        }
+        if (st != Status::kOk) {
+          // The write never committed; the frame still holds the only copy.
+          // Undo the eviction and keep the page in core — degraded, not lost.
+          (void)device->Free(addr);
+          PageTableEntry& entry = seg->page_table.entries[page];
+          entry.present = true;
+          seg->location[page] = PageLoc{PageLevel::kCore, kInvalidDevAddr};
+          FrameInfo& info = core_map_->info_mutable(victim);
+          info.evicting = false;
+          --metrics_.core_evictions;
+          return;
+        }
+        seg->location[page] = PageLoc{target, addr};
+        if (target == PageLevel::kBulk) {
+          AddBulkResident(seg, page);
+        }
+        machine_->meter().Emit(TraceEventKind::kPageEvictDone, "evict_async", page);
+        FrameInfo& info = core_map_->info_mutable(victim);
+        info.evicting = false;
+        policy_->NotifyFreed(victim);
+        core_map_->Release(victim);
+        // Keep the pool topped up if demand outran us.
+        if (core_map_->free_count() + evictions_in_flight_ < config_.core_low_water) {
+          WakeCoreDaemon();
+        }
+      });
 }
 
 void ParallelPageControl::WakeBulkDaemon() {
@@ -323,63 +311,74 @@ void ParallelPageControl::BulkDaemonStep() {
     }
     DevAddr bulk_addr = seg->location[page].addr;
     // The bulk slot stays allocated (and its data in place) until the move
-    // commits, so a fault can reclaim the page mid-move.
-    seg->location[page] = PageLoc{PageLevel::kInTransit, bulk_addr};
+    // commits, so a fault can reclaim the page mid-move. The read therefore
+    // copies the page, once; the copy moves on into the disk slot.
+    const uint64_t transfer = ++last_transfer_;
+    seg->location[page] = PageLoc{PageLevel::kInTransit, bulk_addr, transfer};
     ++bulk_moves_in_flight_;
     ++metrics_.bulk_evictions;
-    bulk_->ReadAsync(bulk_addr, [this, seg, page, bulk_addr](Status st,
-                                                             std::vector<Word> data) {
-      LockGuard page_table(machine_->locks().PageTable());
-      const PageLoc& loc = seg->location[page];
-      if (loc.level != PageLevel::kInTransit || loc.addr != bulk_addr) {
-        --bulk_moves_in_flight_;  // Reclaimed mid-move; the fault owns it now.
-        return;
-      }
-      if (st != Status::kOk) {
-        // Read failed past its retries: abandon the move, the bulk copy
-        // stays authoritative.
-        seg->location[page] = PageLoc{PageLevel::kBulk, bulk_addr};
-        AddBulkResident(seg, page);
-        --bulk_moves_in_flight_;
-        return;
-      }
-      auto disk_addr = disk_->Allocate();
-      if (!disk_addr.ok()) {
-        // Disk full: abandon the move; the page simply stays on bulk.
-        seg->location[page] = PageLoc{PageLevel::kBulk, bulk_addr};
-        AddBulkResident(seg, page);
-        --bulk_moves_in_flight_;
-        return;
-      }
-      disk_->WriteAsync(
-          disk_addr.value(), std::move(data),
-          [this, seg, page, bulk_addr, addr = disk_addr.value()](Status write_st) {
-            LockGuard page_table(machine_->locks().PageTable());
-            const PageLoc& now_loc = seg->location[page];
-            if (now_loc.level != PageLevel::kInTransit || now_loc.addr != bulk_addr) {
-              // Reclaimed while the disk write was in flight: keep the bulk
-              // copy authoritative and drop the disk copy.
-              (void)disk_->Free(addr);
-              --bulk_moves_in_flight_;
-              return;
-            }
-            if (write_st != Status::kOk) {
-              // Disk write failed: drop the disk slot, the bulk copy (never
-              // freed until the move commits) stays authoritative.
-              (void)disk_->Free(addr);
-              seg->location[page] = PageLoc{PageLevel::kBulk, bulk_addr};
-              AddBulkResident(seg, page);
-              --bulk_moves_in_flight_;
-              return;
-            }
-            (void)bulk_->Free(bulk_addr);
-            seg->location[page] = PageLoc{PageLevel::kDisk, addr};
-            --bulk_moves_in_flight_;
-            machine_->meter().Emit(TraceEventKind::kPageEvictDone, "bulk_to_disk_async", page);
-          });
-    });
+    bulk_->ReadAsync(bulk_addr, PagingDevice::ReadMode::kCopy,
+                     [this, seg, page, bulk_addr, transfer](Status st, PageBlock block) {
+                       BulkMoveReadDone(seg, page, bulk_addr, transfer, st, std::move(block));
+                     });
   }
   bulk_daemon_running_ = false;
+}
+
+void ParallelPageControl::BulkMoveReadDone(ActiveSegment* seg, PageNo page, DevAddr bulk_addr,
+                                           uint64_t transfer, Status st, PageBlock block) {
+  LockGuard page_table(machine_->locks().PageTable());
+  if (!OwnsPage(seg->location[page], transfer)) {
+    --bulk_moves_in_flight_;  // Reclaimed mid-move; the fault owns it now.
+    return;
+  }
+  if (st != Status::kOk) {
+    // Read failed past its retries: abandon the move, the bulk copy stays
+    // authoritative.
+    seg->location[page] = PageLoc{PageLevel::kBulk, bulk_addr};
+    AddBulkResident(seg, page);
+    --bulk_moves_in_flight_;
+    return;
+  }
+  auto disk_addr = disk_->Allocate();
+  if (!disk_addr.ok()) {
+    // Disk full: abandon the move; the page simply stays on bulk.
+    seg->location[page] = PageLoc{PageLevel::kBulk, bulk_addr};
+    AddBulkResident(seg, page);
+    --bulk_moves_in_flight_;
+    return;
+  }
+  disk_->WriteAsync(disk_addr.value(), std::move(block),
+                    [this, seg, page, bulk_addr, transfer, addr = disk_addr.value()](
+                        Status write_st, PageBlock) {
+                      BulkMoveWriteDone(seg, page, bulk_addr, transfer, addr, write_st);
+                    });
+}
+
+void ParallelPageControl::BulkMoveWriteDone(ActiveSegment* seg, PageNo page, DevAddr bulk_addr,
+                                            uint64_t transfer, DevAddr disk_addr, Status st) {
+  LockGuard page_table(machine_->locks().PageTable());
+  if (!OwnsPage(seg->location[page], transfer)) {
+    // Reclaimed while the disk write was in flight: keep the bulk copy
+    // authoritative and drop the disk copy.
+    (void)disk_->Free(disk_addr);
+    --bulk_moves_in_flight_;
+    return;
+  }
+  if (st != Status::kOk) {
+    // Disk write failed: drop the disk slot (and the copy it handed back);
+    // the bulk copy, never freed until the move commits, stays
+    // authoritative.
+    (void)disk_->Free(disk_addr);
+    seg->location[page] = PageLoc{PageLevel::kBulk, bulk_addr};
+    AddBulkResident(seg, page);
+    --bulk_moves_in_flight_;
+    return;
+  }
+  (void)bulk_->Free(bulk_addr);
+  seg->location[page] = PageLoc{PageLevel::kDisk, disk_addr};
+  --bulk_moves_in_flight_;
+  machine_->meter().Emit(TraceEventKind::kPageEvictDone, "bulk_to_disk_async", page);
 }
 
 Status ParallelPageControl::FlushSegment(ActiveSegment* seg) {

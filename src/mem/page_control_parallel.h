@@ -50,6 +50,22 @@ class ParallelPageControl : public PageControlBase {
   void BulkDaemonStep();
   void StartAsyncEviction(FrameIndex victim);
 
+  // The two halves of a bulk->disk move, run as device completions.
+  void BulkMoveReadDone(ActiveSegment* seg, PageNo page, DevAddr bulk_addr, uint64_t transfer,
+                        Status st, PageBlock block);
+  void BulkMoveWriteDone(ActiveSegment* seg, PageNo page, DevAddr bulk_addr, uint64_t transfer,
+                         DevAddr disk_addr, Status st);
+
+  // Demand fetch of (device, addr) into `frame` on the priority channel;
+  // frees the slot once the page has moved into core.
+  Status FetchUrgent(PagingDevice* device, DevAddr addr, FrameIndex frame);
+
+  // True while `loc` is still in transit under `transfer`, i.e. a completion
+  // of that transfer still owns the page.
+  static bool OwnsPage(const PageLoc& loc, uint64_t transfer) {
+    return loc.level == PageLevel::kInTransit && loc.transfer == transfer;
+  }
+
   // Runs events until `done` becomes true; fails if the queue drains first.
   Status WaitFor(const bool& done);
 
@@ -58,6 +74,7 @@ class ParallelPageControl : public PageControlBase {
   bool bulk_daemon_running_ = false;
   uint32_t evictions_in_flight_ = 0;
   uint32_t bulk_moves_in_flight_ = 0;
+  uint64_t last_transfer_ = 0;  // Ids of async transfers; 0 is never used.
   uint64_t core_daemon_wakeups_ = 0;
   uint64_t bulk_daemon_wakeups_ = 0;
 };

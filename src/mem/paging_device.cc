@@ -26,6 +26,10 @@ Result<DevAddr> PagingDevice::Allocate() {
   }
   DevAddr addr = free_list_.back();
   free_list_.pop_back();
+  if (addr >= slots_.size()) {
+    slots_.resize(addr + 1);
+  }
+  slots_[addr].allocated = true;
   return addr;
 }
 
@@ -33,9 +37,27 @@ Status PagingDevice::Free(DevAddr addr) {
   if (addr >= capacity_) {
     return Status::kInvalidArgument;
   }
-  store_.erase(addr);
+  if (addr >= slots_.size() || !slots_[addr].allocated) {
+    return Status::kFailedPrecondition;
+  }
+  slots_[addr] = Slot{};
   free_list_.push_back(addr);
   return Status::kOk;
+}
+
+PageBlock PagingDevice::ReadBlock(DevAddr addr, ReadMode mode) {
+  if (addr >= slots_.size()) {
+    return nullptr;  // Never written: a page of zeros.
+  }
+  PageBlock& block = slots_[addr].block;
+  return mode == ReadMode::kMove ? std::move(block) : CopyPageBlock(block.get());
+}
+
+void PagingDevice::StoreBlock(DevAddr addr, PageBlock block) {
+  if (addr >= slots_.size()) {
+    slots_.resize(addr + 1);
+  }
+  slots_[addr].block = std::move(block);
 }
 
 Cycles PagingDevice::ScheduleTransfer(Cycles latency, Cycles* channel_busy_until) {
@@ -63,7 +85,7 @@ Cycles PagingDevice::BackoffFor(int attempt) const {
   return machine_->costs().io_start_overhead << attempt;
 }
 
-Status PagingDevice::ReadSync(DevAddr addr, std::vector<Word>* out) {
+Status PagingDevice::ReadSync(DevAddr addr, ReadMode mode, PageBlock* out) {
   if (addr >= capacity_) {
     return Status::kInvalidArgument;
   }
@@ -74,12 +96,7 @@ Status PagingDevice::ReadSync(DevAddr addr, std::vector<Word>* out) {
     machine_->charges_mutable().Increment("page_io", read_latency_);
     Status fault = ConsultTransfer(InjectSite::kDeviceRead, addr);
     if (fault == Status::kOk) {
-      auto it = store_.find(addr);
-      if (it == store_.end()) {
-        out->assign(kPageWords, 0);
-      } else {
-        *out = it->second;
-      }
+      *out = ReadBlock(addr, mode);
       return Status::kOk;
     }
     if (attempt >= kMaxTransferAttempts) {
@@ -91,8 +108,8 @@ Status PagingDevice::ReadSync(DevAddr addr, std::vector<Word>* out) {
   }
 }
 
-Status PagingDevice::WriteSync(DevAddr addr, std::vector<Word> data) {
-  if (addr >= capacity_ || data.size() != kPageWords) {
+Status PagingDevice::WriteSync(DevAddr addr, PageBlock* block) {
+  if (addr >= capacity_) {
     return Status::kInvalidArgument;
   }
   for (int attempt = 1;; ++attempt) {
@@ -102,7 +119,7 @@ Status PagingDevice::WriteSync(DevAddr addr, std::vector<Word> data) {
     machine_->charges_mutable().Increment("page_io", write_latency_);
     Status fault = ConsultTransfer(InjectSite::kDeviceWrite, addr);
     if (fault == Status::kOk) {
-      store_[addr] = std::move(data);
+      StoreBlock(addr, std::move(*block));
       return Status::kOk;
     }
     if (attempt >= kMaxTransferAttempts) {
@@ -114,12 +131,12 @@ Status PagingDevice::WriteSync(DevAddr addr, std::vector<Word> data) {
   }
 }
 
-void PagingDevice::StartRead(DevAddr addr, std::function<void(Status, std::vector<Word>)> done,
-                             bool urgent, int attempt) {
+void PagingDevice::StartRead(DevAddr addr, ReadMode mode, ReadDone done, bool urgent,
+                             int attempt) {
   ++reads_;
   Cycles* channel = urgent ? &urgent_busy_until_ : &read_busy_until_;
   const Cycles when = ScheduleTransfer(read_latency_, channel);
-  machine_->events().ScheduleAt(when, [this, addr, done = std::move(done), urgent,
+  machine_->events().ScheduleAt(when, [this, addr, mode, done = std::move(done), urgent,
                                        attempt]() mutable {
     machine_->charges_mutable().Increment("page_io", read_latency_);
     Status fault = ConsultTransfer(InjectSite::kDeviceRead, addr);
@@ -129,8 +146,8 @@ void PagingDevice::StartRead(DevAddr addr, std::function<void(Status, std::vecto
         const Cycles backoff = BackoffFor(attempt);
         machine_->charges_mutable().Increment("fault_recovery", backoff);
         machine_->events().ScheduleAfter(
-            backoff, [this, addr, done = std::move(done), urgent, attempt]() mutable {
-              StartRead(addr, std::move(done), urgent, attempt + 1);
+            backoff, [this, addr, mode, done = std::move(done), urgent, attempt]() mutable {
+              StartRead(addr, mode, std::move(done), urgent, attempt + 1);
             });
         return;
       }
@@ -138,29 +155,22 @@ void PagingDevice::StartRead(DevAddr addr, std::function<void(Status, std::vecto
       if (interrupts_ != nullptr) {
         (void)interrupts_->Assert(line_, addr);
       }
-      done(fault, {});
+      done(fault, nullptr);
       return;
     }
-    std::vector<Word> data;
-    auto it = store_.find(addr);
-    if (it == store_.end()) {
-      data.assign(kPageWords, 0);
-    } else {
-      data = it->second;
-    }
+    PageBlock block = ReadBlock(addr, mode);
     if (interrupts_ != nullptr) {
       (void)interrupts_->Assert(line_, addr);
     }
-    done(Status::kOk, std::move(data));
+    done(Status::kOk, std::move(block));
   });
 }
 
-void PagingDevice::StartWrite(DevAddr addr, std::vector<Word> data,
-                              std::function<void(Status)> done, int attempt) {
+void PagingDevice::StartWrite(DevAddr addr, PageBlock block, WriteDone done, int attempt) {
   ++writes_;
   const Cycles when = ScheduleTransfer(write_latency_, &write_busy_until_);
   machine_->events().ScheduleAt(
-      when, [this, addr, data = std::move(data), done = std::move(done), attempt]() mutable {
+      when, [this, addr, block = std::move(block), done = std::move(done), attempt]() mutable {
         machine_->charges_mutable().Increment("page_io", write_latency_);
         Status fault = ConsultTransfer(InjectSite::kDeviceWrite, addr);
         if (fault != Status::kOk) {
@@ -170,8 +180,8 @@ void PagingDevice::StartWrite(DevAddr addr, std::vector<Word> data,
             machine_->charges_mutable().Increment("fault_recovery", backoff);
             machine_->events().ScheduleAfter(
                 backoff,
-                [this, addr, data = std::move(data), done = std::move(done), attempt]() mutable {
-                  StartWrite(addr, std::move(data), std::move(done), attempt + 1);
+                [this, addr, block = std::move(block), done = std::move(done), attempt]() mutable {
+                  StartWrite(addr, std::move(block), std::move(done), attempt + 1);
                 });
             return;
           }
@@ -179,67 +189,46 @@ void PagingDevice::StartWrite(DevAddr addr, std::vector<Word> data,
           if (interrupts_ != nullptr) {
             (void)interrupts_->Assert(line_, addr);
           }
-          done(fault);
+          done(fault, std::move(block));  // The caller keeps the only copy.
           return;
         }
-        store_[addr] = std::move(data);
+        StoreBlock(addr, std::move(block));
         if (interrupts_ != nullptr) {
           (void)interrupts_->Assert(line_, addr);
         }
-        done(Status::kOk);
+        done(Status::kOk, nullptr);
       });
 }
 
-void PagingDevice::ReadAsync(DevAddr addr, std::function<void(Status, std::vector<Word>)> done) {
+void PagingDevice::ReadAsync(DevAddr addr, ReadMode mode, ReadDone done) {
   if (addr >= capacity_) {
     machine_->events().ScheduleAfter(0, [done = std::move(done)] {
-      done(Status::kInvalidArgument, {});
+      done(Status::kInvalidArgument, nullptr);
     });
     return;
   }
-  StartRead(addr, std::move(done), /*urgent=*/false, /*attempt=*/1);
+  StartRead(addr, mode, std::move(done), /*urgent=*/false, /*attempt=*/1);
 }
 
-void PagingDevice::WriteAsync(DevAddr addr, std::vector<Word> data,
-                              std::function<void(Status)> done) {
-  if (addr >= capacity_ || data.size() != kPageWords) {
-    machine_->events().ScheduleAfter(0,
-                                     [done = std::move(done)] { done(Status::kInvalidArgument); });
+void PagingDevice::WriteAsync(DevAddr addr, PageBlock block, WriteDone done) {
+  if (addr >= capacity_) {
+    machine_->events().ScheduleAfter(
+        0, [block = std::move(block), done = std::move(done)]() mutable {
+          done(Status::kInvalidArgument, std::move(block));
+        });
     return;
   }
-  StartWrite(addr, std::move(data), std::move(done), /*attempt=*/1);
+  StartWrite(addr, std::move(block), std::move(done), /*attempt=*/1);
 }
 
-void PagingDevice::ReadAsyncUrgent(DevAddr addr,
-                                   std::function<void(Status, std::vector<Word>)> done) {
+void PagingDevice::ReadAsyncUrgent(DevAddr addr, ReadMode mode, ReadDone done) {
   if (addr >= capacity_) {
     machine_->events().ScheduleAfter(0, [done = std::move(done)] {
-      done(Status::kInvalidArgument, {});
+      done(Status::kInvalidArgument, nullptr);
     });
     return;
   }
-  StartRead(addr, std::move(done), /*urgent=*/true, /*attempt=*/1);
-}
-
-Status PagingDevice::Peek(DevAddr addr, std::vector<Word>* out) const {
-  if (addr >= capacity_) {
-    return Status::kInvalidArgument;
-  }
-  auto it = store_.find(addr);
-  if (it == store_.end()) {
-    out->assign(kPageWords, 0);
-  } else {
-    *out = it->second;
-  }
-  return Status::kOk;
-}
-
-Status PagingDevice::Poke(DevAddr addr, std::vector<Word> data) {
-  if (addr >= capacity_ || data.size() != kPageWords) {
-    return Status::kInvalidArgument;
-  }
-  store_[addr] = std::move(data);
-  return Status::kOk;
+  StartRead(addr, mode, std::move(done), /*urgent=*/true, /*attempt=*/1);
 }
 
 PagingDevice MakeBulkStore(uint32_t pages, Machine* machine) {

@@ -5,6 +5,14 @@
 // the faulting process) and asynchronous ones (the parallel page control's
 // daemons overlap transfers with computation).
 //
+// A slot holds the same owned page block a core frame does (PageBlock,
+// src/hw/core_memory.h; null is a page of zeros). A write moves its block
+// into the slot; a read either moves the block out (kMove, for a page whose
+// slot is freed right after the read) or copies it once into a new block
+// (kCopy, for a page whose slot must stay authoritative until a later
+// transfer commits). Slots live in a flat array indexed by address that
+// grows on demand, so a device that never pages holds nothing.
+//
 // The controller is dual-channel: reads and writes each serialize on their
 // own channel, so a demand fetch does not queue behind a backlog of
 // background eviction writes — the property that makes the paper's
@@ -16,11 +24,12 @@
 // geometric backoff, every retry cycle-accounted under "fault_recovery" on
 // the sim clock. A fault that persists past the last retry is returned (or
 // delivered to the async `done` callback) as a non-kOk Status — callers in
-// page control must treat it as data loss and degrade, never CHECK. The
-// only CHECK-worthy conditions here are programmer errors (a caller passing
-// a corrupted vector size is reported as kInvalidArgument, not CHECKed,
-// because simulated supervisors reach this code). Out-of-range addresses
-// return kInvalidArgument.
+// page control must treat it as data loss and degrade, never CHECK. A
+// failed read leaves the slot untouched and a failed write hands its block
+// back, so a failed transfer never loses the only copy of a page. Nothing
+// here CHECKs on simulated conditions: out-of-range addresses return
+// kInvalidArgument and freeing a slot that is not allocated returns
+// kFailedPrecondition.
 
 #ifndef SRC_MEM_PAGING_DEVICE_H_
 #define SRC_MEM_PAGING_DEVICE_H_
@@ -28,7 +37,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/result.h"
@@ -54,30 +62,47 @@ class PagingDevice {
   uint32_t used_pages() const { return capacity_ - free_pages(); }
   bool Full() const { return free_list_.empty(); }
 
-  // Slot management.
+  // How a read treats the slot it reads (see the file comment).
+  enum class ReadMode : uint8_t { kMove, kCopy };
+
+  // Completion callbacks. A read delivers the page's block (null on
+  // failure). A write delivers null on success and hands its block back on
+  // failure.
+  using ReadDone = std::function<void(Status, PageBlock)>;
+  using WriteDone = std::function<void(Status, PageBlock)>;
+
+  // Slot management. Freeing a slot drops its block; freeing one that is
+  // not allocated is refused, since a second copy of its address on the
+  // free list would later hand one slot to two pages.
   Result<DevAddr> Allocate();
   Status Free(DevAddr addr);
 
   // Synchronous transfers: advance the simulation clock by queueing delay
-  // plus latency before returning.
-  Status ReadSync(DevAddr addr, std::vector<Word>* out);
-  Status WriteSync(DevAddr addr, std::vector<Word> data);
+  // plus latency before returning. A successful write moves *block into the
+  // slot and leaves *block null; a failed one leaves *block untouched.
+  Status ReadSync(DevAddr addr, ReadMode mode, PageBlock* out);
+  Status WriteSync(DevAddr addr, PageBlock* block);
 
   // Asynchronous transfers: complete through the machine's event queue.
   // The device serializes transfers per channel; each completion may assert
-  // the attached interrupt line (if any) before invoking `done`.
-  void ReadAsync(DevAddr addr, std::function<void(Status, std::vector<Word>)> done);
-  void WriteAsync(DevAddr addr, std::vector<Word> data, std::function<void(Status)> done);
+  // the attached interrupt line (if any) before invoking `done`. A read
+  // moves or copies the slot's block when it completes.
+  void ReadAsync(DevAddr addr, ReadMode mode, ReadDone done);
+  void WriteAsync(DevAddr addr, PageBlock block, WriteDone done);
 
   // Demand (page-fault) read: serviced on the priority channel, ahead of any
   // backlog of background daemon transfers — demand fetches always preempt
   // migration traffic, as real paging controllers arranged.
-  void ReadAsyncUrgent(DevAddr addr, std::function<void(Status, std::vector<Word>)> done);
+  void ReadAsyncUrgent(DevAddr addr, ReadMode mode, ReadDone done);
 
   void AttachInterrupt(InterruptController* controller, InterruptLine line) {
     interrupts_ = controller;
     line_ = line;
   }
+
+  // Slots materialized so far: the array grows to the highest address
+  // allocated or written, never to capacity up front.
+  uint32_t materialized_slots() const { return static_cast<uint32_t>(slots_.size()); }
 
   uint64_t reads() const { return reads_; }
   uint64_t writes() const { return writes_; }
@@ -87,10 +112,6 @@ class PagingDevice {
   uint64_t injected_faults() const { return injected_faults_; }
   uint64_t retries() const { return retries_; }
   uint64_t failed_transfers() const { return failed_transfers_; }
-
-  // Direct slot access without latency, for the image loader / tests.
-  Status Peek(DevAddr addr, std::vector<Word>* out) const;
-  Status Poke(DevAddr addr, std::vector<Word> data);
 
   // A transfer is attempted at most this many times (1 initial + retries).
   static constexpr int kMaxTransferAttempts = 4;
@@ -108,10 +129,18 @@ class PagingDevice {
   Cycles BackoffFor(int attempt) const;
 
   // Retry-capable async transfer bodies; `attempt` is 1-based.
-  void StartRead(DevAddr addr, std::function<void(Status, std::vector<Word>)> done,
-                 bool urgent, int attempt);
-  void StartWrite(DevAddr addr, std::vector<Word> data, std::function<void(Status)> done,
-                  int attempt);
+  void StartRead(DevAddr addr, ReadMode mode, ReadDone done, bool urgent, int attempt);
+  void StartWrite(DevAddr addr, PageBlock block, WriteDone done, int attempt);
+
+  // The block a completed read delivers: the slot's own (kMove) or a copy.
+  PageBlock ReadBlock(DevAddr addr, ReadMode mode);
+  // Installs a written block, growing the slot array to cover `addr`.
+  void StoreBlock(DevAddr addr, PageBlock block);
+
+  struct Slot {
+    PageBlock block;  // Null: a page of zeros.
+    bool allocated = false;
+  };
 
   std::string name_;
   uint32_t capacity_;
@@ -119,7 +148,7 @@ class PagingDevice {
   Cycles write_latency_;
   Machine* machine_;
 
-  std::unordered_map<DevAddr, std::vector<Word>> store_;
+  std::vector<Slot> slots_;  // Indexed by address; grown on demand.
   std::vector<DevAddr> free_list_;
   Cycles read_busy_until_ = 0;
   Cycles write_busy_until_ = 0;

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/base/random.h"
 #include "src/fs/acl.h"
 #include "src/fs/hierarchy.h"
 #include "src/fs/kst.h"
@@ -313,6 +316,132 @@ TEST_F(FsTest, AstEvictionMakesRoom) {
   ASSERT_TRUE(extra.ok());
   EXPECT_TRUE(store_.Activate(extra.value()).ok());
   EXPECT_EQ(store_.active_count(), 64u);  // One victim was deactivated.
+}
+
+// --- AST victim selection: differential check against the full scan ----------
+
+// The eviction rule as a full scan over the AST in its iteration order: the
+// first unwired segment nobody has initiated, else the first unwired one.
+Uid ReferenceVictim(SegmentStore& store) {
+  Uid zero_ref_victim = kInvalidUid;
+  Uid any_victim = kInvalidUid;
+  store.ast()->ForEach([&](ActiveSegment* seg) {
+    if (seg->wired) {
+      return;
+    }
+    if (any_victim == kInvalidUid) {
+      any_victim = seg->uid;
+    }
+    if (zero_ref_victim == kInvalidUid && store.RefCount(seg->uid) == 0) {
+      zero_ref_victim = seg->uid;
+    }
+  });
+  return zero_ref_victim != kInvalidUid ? zero_ref_victim : any_victim;
+}
+
+TEST(AstVictimTest, EvictionMatchesFullScanReference) {
+  Machine machine(MachineConfig{.core_frames = 16});
+  CoreMap core_map(16);
+  PagingDevice bulk("bulk", 64, 2000, 2000, &machine);
+  PagingDevice disk("disk", 4096, 20000, 20000, &machine);
+  ActiveSegmentTable ast(8);
+  ClockPolicy policy;
+  SegmentStore store(&machine, &ast, &disk);
+  SequentialPageControl page_control(&machine, &core_map, &bulk, &disk, &policy);
+  store.AttachPageControl(&page_control);
+  std::vector<Uid> deactivated;
+  store.SetDeactivateHook([&](Uid uid) { deactivated.push_back(uid); });
+
+  Rng rng(1975);
+  std::vector<Uid> live;
+  auto create = [&] {
+    auto uid = store.Create(SegmentAttributes{}, /*is_directory=*/false, kInvalidUid);
+    ASSERT_TRUE(uid.ok());
+    ASSERT_EQ(store.SetLength(uid.value(), static_cast<uint32_t>(rng.NextBelow(3))),
+              Status::kOk);
+    live.push_back(uid.value());
+  };
+  for (int i = 0; i < 24; ++i) {
+    create();
+  }
+
+  // Activates `uid`; when that needs an eviction, the segment deactivated
+  // must be exactly the reference scan's pick (or none, if it finds none).
+  uint64_t evictions = 0;
+  uint64_t evictions_of_initiated = 0;
+  uint64_t refusals = 0;
+  auto activate = [&](Uid uid, bool wired) {
+    const bool evicts = ast.Find(uid) == nullptr && ast.size() == ast.capacity();
+    const Uid expected = evicts ? ReferenceVictim(store) : kInvalidUid;
+    deactivated.clear();
+    auto seg = store.Activate(uid, wired);
+    if (!evicts) {
+      ASSERT_TRUE(seg.ok());
+      EXPECT_TRUE(deactivated.empty());
+    } else if (expected == kInvalidUid) {
+      EXPECT_EQ(seg.status(), Status::kResourceExhausted);
+      EXPECT_TRUE(deactivated.empty());
+      ++refusals;
+    } else {
+      ASSERT_TRUE(seg.ok());
+      ASSERT_EQ(deactivated, std::vector<Uid>{expected});
+      ++evictions;
+      if (store.RefCount(expected) > 0) {
+        ++evictions_of_initiated;
+      }
+    }
+    if (seg.ok() && seg.value()->pages > 0) {
+      // Dirty a page so the victim's flush has something to write home.
+      ASSERT_EQ(page_control.EnsureResident(seg.value(), 0, AccessMode::kWrite), Status::kOk);
+      machine.core().WriteWord(seg.value()->page_table.entries[0].frame, 1, uid);
+    }
+  };
+
+  for (int step = 0; step < 6000; ++step) {
+    const Uid uid = live[rng.NextBelow(live.size())];
+    switch (rng.NextBelow(8)) {
+      case 0:
+      case 1:
+      case 2:
+        activate(uid, /*wired=*/rng.NextBelow(10) == 0);
+        break;
+      case 3:
+      case 4:
+        store.AddRef(uid);
+        break;
+      case 5:
+        (void)store.DropRef(uid);
+        break;
+      case 6:
+        if (ast.Find(uid) != nullptr) {
+          ASSERT_EQ(store.Deactivate(uid), Status::kOk);
+        }
+        break;
+      case 7:
+        if (store.RefCount(uid) == 0) {
+          ASSERT_EQ(store.Delete(uid), Status::kOk);
+          std::erase(live, uid);
+          create();
+        }
+        break;
+    }
+  }
+  // Both halves of the rule ran, and so did the refusal.
+  for (Uid uid : live) {
+    if (ast.Find(uid) != nullptr) {
+      ASSERT_EQ(store.Deactivate(uid), Status::kOk);
+    }
+  }
+  for (size_t i = 0; i < ast.capacity(); ++i) {
+    activate(live[i], /*wired=*/true);
+  }
+  activate(live[ast.capacity()], /*wired=*/false);
+  EXPECT_GT(evictions, 500u);
+  EXPECT_GT(evictions_of_initiated, 0u);
+  EXPECT_GT(evictions - evictions_of_initiated, 0u);
+  EXPECT_GT(refusals, 0u);
+  EXPECT_EQ(store.ast_evictions(), evictions);
+  store.SetDeactivateHook(nullptr);
 }
 
 TEST_F(FsTest, DeleteWhileInitiatedRefused) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "src/hw/core_memory.h"
 #include "src/hw/machine.h"
 #include "src/hw/processor.h"
@@ -470,16 +473,38 @@ TEST(DescriptorSegmentTest, ProcessFootprintFollowsUsedSegnos) {
 
 // --- Core memory -------------------------------------------------------------
 
+// A page block whose word i is i * step + base.
+PageBlock SequencePage(Word step, Word base) {
+  PageBlock page = std::make_unique<Word[]>(kPageWords);
+  for (uint32_t i = 0; i < kPageWords; ++i) {
+    page[i] = i * step + base;
+  }
+  return page;
+}
+
+// Every word of a frame, read one at a time.
+std::vector<Word> FrameWords(const CoreMemory& core, FrameIndex frame) {
+  std::vector<Word> words(kPageWords);
+  for (uint32_t i = 0; i < kPageWords; ++i) {
+    words[i] = core.ReadWord(frame, i);
+  }
+  return words;
+}
+
+std::vector<Word> BlockWords(const PageBlock& block) {
+  if (block == nullptr) {
+    return std::vector<Word>(kPageWords, 0);
+  }
+  return std::vector<Word>(block.get(), block.get() + kPageWords);
+}
+
 TEST(CoreMemoryTest, PageTransferRoundTrip) {
   CoreMemory core(4);
-  std::vector<Word> page(kPageWords);
-  for (uint32_t i = 0; i < kPageWords; ++i) {
-    page[i] = i * 3;
-  }
-  core.WritePage(2, page);
-  std::vector<Word> out;
-  core.ReadPage(2, out);
-  EXPECT_EQ(out, page);
+  PageBlock page = SequencePage(3, 0);
+  const std::vector<Word> expected = BlockWords(page);
+  core.PutPage(2, std::move(page));
+  EXPECT_EQ(FrameWords(core, 2), expected);
+  EXPECT_EQ(BlockWords(core.CopyPage(2)), expected);
   core.ZeroPage(2);
   EXPECT_EQ(core.ReadWord(2, 100), 0u);
 }
@@ -489,39 +514,64 @@ TEST(CoreMemoryTest, UnwrittenFrameReadsZero) {
   EXPECT_EQ(core.frame_count(), 4u);
   EXPECT_EQ(core.ReadWord(3, 0), 0u);
   EXPECT_EQ(core.ReadWord(3, kPageWords - 1), 0u);
-  std::vector<Word> out(7, 99);
-  core.ReadPage(1, out);
-  EXPECT_EQ(out, std::vector<Word>(kPageWords, 0));
+  EXPECT_EQ(core.CopyPage(1), nullptr);  // A page of zeros copies as null.
+  EXPECT_EQ(core.TakePage(1), nullptr);
   core.ZeroPage(0);  // Zeroing a never-written frame is a no-op.
   EXPECT_EQ(core.ReadWord(0, 5), 0u);
+  EXPECT_EQ(core.CopyPage(0), nullptr);
 }
 
 TEST(CoreMemoryTest, FirstWordWriteLeavesRestOfFrameZero) {
   CoreMemory core(2);
   core.WriteWord(1, 17, 5);
-  std::vector<Word> out;
-  core.ReadPage(1, out);
   std::vector<Word> expected(kPageWords, 0);
   expected[17] = 5;
-  EXPECT_EQ(out, expected);
+  EXPECT_EQ(BlockWords(core.CopyPage(1)), expected);
   EXPECT_EQ(core.ReadWord(0, 17), 0u);  // Other frames untouched.
 }
 
-TEST(CoreMemoryTest, WritePageOntoUnwrittenFrameThenZero) {
+TEST(CoreMemoryTest, PutPageOntoUnwrittenFrameThenZero) {
   CoreMemory core(3);
-  std::vector<Word> page(kPageWords);
-  for (uint32_t i = 0; i < kPageWords; ++i) {
-    page[i] = i + 1;
-  }
-  core.WritePage(0, page);
-  std::vector<Word> out;
-  core.ReadPage(0, out);
-  EXPECT_EQ(out, page);
+  PageBlock page = SequencePage(1, 1);
+  const std::vector<Word> expected = BlockWords(page);
+  core.PutPage(0, std::move(page));
+  EXPECT_EQ(FrameWords(core, 0), expected);
   core.WriteWord(0, 9, 1234);
   EXPECT_EQ(core.ReadWord(0, 9), 1234u);
   core.ZeroPage(0);
-  core.ReadPage(0, out);
-  EXPECT_EQ(out, std::vector<Word>(kPageWords, 0));
+  EXPECT_EQ(FrameWords(core, 0), std::vector<Word>(kPageWords, 0));
+}
+
+TEST(CoreMemoryTest, TakePageMovesTheBlockOut) {
+  CoreMemory core(2);
+  PageBlock page = SequencePage(7, 2);
+  const Word* words = page.get();
+  core.PutPage(1, std::move(page));
+  PageBlock taken = core.TakePage(1);
+  EXPECT_EQ(taken.get(), words);  // The same block: no words were copied.
+  EXPECT_EQ(FrameWords(core, 1), std::vector<Word>(kPageWords, 0));
+  EXPECT_EQ(core.CopyPage(1), nullptr);
+  core.PutPage(0, std::move(taken));
+  EXPECT_EQ(core.ReadWord(0, 3), 3u * 7 + 2);
+}
+
+TEST(CoreMemoryTest, CopyPageLeavesTheFrameIntact) {
+  CoreMemory core(1);
+  core.PutPage(0, SequencePage(5, 0));
+  PageBlock copy = core.CopyPage(0);
+  ASSERT_NE(copy, nullptr);
+  copy[4] = 99;  // A distinct block: the frame does not see the change.
+  EXPECT_EQ(core.ReadWord(0, 4), 20u);
+  EXPECT_EQ(BlockWords(core.TakePage(0)), BlockWords(SequencePage(5, 0)));
+}
+
+TEST(CoreMemoryTest, PutPageReplacesTheFramesBlock) {
+  CoreMemory core(1);
+  core.WriteWord(0, 0, 41);
+  core.PutPage(0, SequencePage(0, 8));
+  EXPECT_EQ(core.ReadWord(0, 0), 8u);
+  core.PutPage(0, nullptr);  // A null block is a page of zeros.
+  EXPECT_EQ(core.ReadWord(0, 0), 0u);
 }
 
 // --- Interrupt controller ----------------------------------------------------

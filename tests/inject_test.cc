@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "src/fs/salvager.h"
 #include "src/init/bootstrap.h"
 #include "src/inject/plan.h"
@@ -56,16 +59,20 @@ class InjectTest : public ::testing::Test {
 // --- Category 1: device faults --------------------------------------------------
 
 TEST_F(InjectTest, TransientDeviceFaultRecoveredByRetry) {
+  // The page lands before the plan is registered, so only the read sees it.
+  PageBlock page = std::make_unique<Word[]>(kPageWords);
+  std::fill_n(page.get(), kPageWords, Word{7});
+  ASSERT_EQ(disk_.WriteSync(3, &page), Status::kOk);
+
   InjectionPlan plan;
   // Two consecutive read faults: below the 4-attempt budget, so the retry
   // path must absorb them without surfacing an error.
   plan.Add(FaultSpec{.kind = FaultKind::kDeviceError, .match = "disk", .burst = 2});
   machine_.SetInjector(&plan);
 
-  std::vector<Word> page(kPageWords, 7);
-  ASSERT_EQ(disk_.Poke(3, page), Status::kOk);
-  std::vector<Word> out;
-  EXPECT_EQ(disk_.ReadSync(3, &out), Status::kOk);
+  PageBlock out;
+  EXPECT_EQ(disk_.ReadSync(3, PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  ASSERT_NE(out, nullptr);
   EXPECT_EQ(out[0], 7u);
 
   EXPECT_EQ(disk_.injected_faults(), 2u);
@@ -80,8 +87,8 @@ TEST_F(InjectTest, PersistentDeviceFaultSurfacesStatus) {
   plan.Add(FaultSpec{.kind = FaultKind::kDeviceError, .match = "disk", .burst = 100});
   machine_.SetInjector(&plan);
 
-  std::vector<Word> out;
-  EXPECT_EQ(disk_.ReadSync(9, &out), Status::kDeviceError);
+  PageBlock out;
+  EXPECT_EQ(disk_.ReadSync(9, PagingDevice::ReadMode::kCopy, &out), Status::kDeviceError);
   EXPECT_EQ(disk_.failed_transfers(), 1u);
   EXPECT_EQ(disk_.retries(), static_cast<uint64_t>(PagingDevice::kMaxTransferAttempts - 1));
 }
@@ -95,8 +102,11 @@ TEST_F(InjectTest, AsyncTransferRetriesThroughEventQueue) {
   ASSERT_TRUE(addr.ok());
   Status result = Status::kInternal;
   bool done = false;
-  bulk_.WriteAsync(addr.value(), std::vector<Word>(kPageWords, 1), [&](Status st) {
+  PageBlock page = std::make_unique<Word[]>(kPageWords);
+  std::fill_n(page.get(), kPageWords, Word{1});
+  bulk_.WriteAsync(addr.value(), std::move(page), [&](Status st, PageBlock back) {
     result = st;
+    EXPECT_EQ(back, nullptr);  // Committed: the block stayed in the slot.
     done = true;
   });
   machine_.events().RunUntilIdle();
@@ -169,16 +179,17 @@ TEST(InjectNoOpTest, EmptyPlanIsCycleIdenticalToNoInjector) {
       machine.SetInjector(&plan);
     }
     PagingDevice disk = MakeDisk(256, &machine);
-    std::vector<Word> buf(kPageWords, 3);
     for (DevAddr a = 0; a < 32; ++a) {
-      CHECK(disk.WriteSync(a, buf) == Status::kOk);
+      PageBlock buf = std::make_unique<Word[]>(kPageWords);
+      std::fill_n(buf.get(), kPageWords, Word{3});
+      CHECK(disk.WriteSync(a, &buf) == Status::kOk);
     }
-    std::vector<Word> out;
+    PageBlock out;
     for (DevAddr a = 0; a < 32; ++a) {
-      CHECK(disk.ReadSync(a, &out) == Status::kOk);
+      CHECK(disk.ReadSync(a, PagingDevice::ReadMode::kCopy, &out) == Status::kOk);
     }
     bool done = false;
-    disk.ReadAsync(7, [&](Status st, std::vector<Word>) {
+    disk.ReadAsync(7, PagingDevice::ReadMode::kCopy, [&](Status st, PageBlock) {
       CHECK(st == Status::kOk);
       done = true;
     });
@@ -400,14 +411,16 @@ TEST(InjectStormTest, StormIsReproducibleFromSeed) {
     plan.EnableStorm(storm);
     machine.SetInjector(&plan);
     PagingDevice disk = MakeDisk(256, &machine);
-    std::vector<Word> buf(kPageWords, 1);
-    std::vector<Word> out;
+    PageBlock out;
     uint64_t failures = 0;
     for (int i = 0; i < 200; ++i) {
-      if (disk.WriteSync(static_cast<DevAddr>(i % 64), buf) != Status::kOk) {
+      PageBlock buf = std::make_unique<Word[]>(kPageWords);
+      std::fill_n(buf.get(), kPageWords, Word{1});
+      if (disk.WriteSync(static_cast<DevAddr>(i % 64), &buf) != Status::kOk) {
         ++failures;
       }
-      if (disk.ReadSync(static_cast<DevAddr>(i % 64), &out) != Status::kOk) {
+      if (disk.ReadSync(static_cast<DevAddr>(i % 64), PagingDevice::ReadMode::kCopy, &out) !=
+          Status::kOk) {
         ++failures;
       }
     }

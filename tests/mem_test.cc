@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "src/hw/injection.h"
 #include "src/hw/machine.h"
 #include "src/mem/active_segment.h"
 #include "src/mem/core_map.h"
@@ -17,13 +21,50 @@
 namespace multics {
 namespace {
 
-std::vector<Word> PatternPage(Word tag) {
-  std::vector<Word> page(kPageWords);
+PageBlock PatternPage(Word tag) {
+  PageBlock page = std::make_unique<Word[]>(kPageWords);
   for (uint32_t i = 0; i < kPageWords; ++i) {
     page[i] = tag * 100000 + i;
   }
   return page;
 }
+
+// True when `block` holds exactly PatternPage(tag).
+bool HoldsPattern(const PageBlock& block, Word tag) {
+  if (block == nullptr) {
+    return false;
+  }
+  for (uint32_t i = 0; i < kPageWords; ++i) {
+    if (block[i] != tag * 100000 + i) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Fails every transfer at one site on one device while armed: a persistent
+// device fault, switched off again to check what survived it.
+class DeviceFaultSwitch : public FaultInjector {
+ public:
+  void Arm(InjectSite site, std::string device) {
+    site_ = site;
+    device_ = std::move(device);
+    armed_ = true;
+  }
+  void Disarm() { armed_ = false; }
+
+  InjectionDecision Consult(const InjectionPoint& point) override {
+    if (armed_ && point.site == site_ && device_ == point.name) {
+      return InjectionDecision{Status::kDeviceError, 0};
+    }
+    return InjectionDecision{};
+  }
+
+ private:
+  bool armed_ = false;
+  InjectSite site_ = InjectSite::kDeviceWrite;
+  std::string device_;
+};
 
 // --- PagingDevice -------------------------------------------------------------
 
@@ -55,29 +96,152 @@ TEST_F(PagingDeviceTest, SyncTransferAdvancesClock) {
   auto addr = dev_.Allocate();
   ASSERT_TRUE(addr.ok());
   Cycles before = machine_.clock().now();
-  ASSERT_EQ(dev_.WriteSync(addr.value(), PatternPage(1)), Status::kOk);
+  PageBlock page = PatternPage(1);
+  ASSERT_EQ(dev_.WriteSync(addr.value(), &page), Status::kOk);
+  EXPECT_EQ(page, nullptr);  // The block moved into the slot.
   Cycles elapsed = machine_.clock().now() - before;
   EXPECT_GE(elapsed, 1000u);  // Latency plus start overhead.
 
-  std::vector<Word> out;
-  ASSERT_EQ(dev_.ReadSync(addr.value(), &out), Status::kOk);
-  EXPECT_EQ(out, PatternPage(1));
+  PageBlock out;
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  EXPECT_TRUE(HoldsPattern(out, 1));
 }
 
 TEST_F(PagingDeviceTest, UnwrittenSlotReadsZeros) {
   auto addr = dev_.Allocate();
   ASSERT_TRUE(addr.ok());
-  std::vector<Word> out;
-  ASSERT_EQ(dev_.ReadSync(addr.value(), &out), Status::kOk);
-  EXPECT_EQ(out, std::vector<Word>(kPageWords, 0));
+  PageBlock out = PatternPage(9);
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  EXPECT_EQ(out, nullptr);  // A page of zeros.
+}
+
+TEST_F(PagingDeviceTest, MoveReadEmptiesTheSlotCopyReadDoesNot) {
+  auto addr = dev_.Allocate();
+  ASSERT_TRUE(addr.ok());
+  PageBlock page = PatternPage(4);
+  const Word* words = page.get();
+  ASSERT_EQ(dev_.WriteSync(addr.value(), &page), Status::kOk);
+
+  PageBlock copy;
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kCopy, &copy), Status::kOk);
+  EXPECT_TRUE(HoldsPattern(copy, 4));
+  EXPECT_NE(copy.get(), words);  // A new block; the slot keeps its own.
+
+  PageBlock moved;
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kMove, &moved), Status::kOk);
+  EXPECT_EQ(moved.get(), words);  // The very block that was written.
+  PageBlock after;
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kCopy, &after), Status::kOk);
+  EXPECT_EQ(after, nullptr);
+}
+
+TEST_F(PagingDeviceTest, FreeDropsTheSlotsBlock) {
+  auto addr = dev_.Allocate();
+  ASSERT_TRUE(addr.ok());
+  PageBlock page = PatternPage(2);
+  ASSERT_EQ(dev_.WriteSync(addr.value(), &page), Status::kOk);
+  ASSERT_EQ(dev_.Free(addr.value()), Status::kOk);
+  auto again = dev_.Allocate();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value(), addr.value());  // Freed slots are reused first.
+  PageBlock out;
+  ASSERT_EQ(dev_.ReadSync(again.value(), PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  EXPECT_EQ(out, nullptr);
+}
+
+TEST_F(PagingDeviceTest, FreeOfUnallocatedSlotIsRefused) {
+  // Never allocated.
+  EXPECT_EQ(dev_.Free(3), Status::kFailedPrecondition);
+  EXPECT_EQ(dev_.free_pages(), 8u);
+  // Allocated once, freed twice: the second free must not put a second copy
+  // of the address on the free list.
+  auto addr = dev_.Allocate();
+  ASSERT_TRUE(addr.ok());
+  ASSERT_EQ(dev_.Free(addr.value()), Status::kOk);
+  EXPECT_EQ(dev_.Free(addr.value()), Status::kFailedPrecondition);
+  EXPECT_EQ(dev_.free_pages(), 8u);
+  // Out of range stays an argument error.
+  EXPECT_EQ(dev_.Free(8), Status::kInvalidArgument);
+  // Every slot is handed out exactly once.
+  std::vector<DevAddr> handed;
+  for (int i = 0; i < 8; ++i) {
+    auto a = dev_.Allocate();
+    ASSERT_TRUE(a.ok());
+    handed.push_back(a.value());
+  }
+  std::sort(handed.begin(), handed.end());
+  EXPECT_EQ(std::adjacent_find(handed.begin(), handed.end()), handed.end());
+  EXPECT_EQ(dev_.Allocate().status(), Status::kResourceExhausted);
+}
+
+TEST_F(PagingDeviceTest, SlotsMaterializeOnDemand) {
+  // A device that never pages holds no slots, however large its capacity.
+  PagingDevice disk = MakeDisk(32768, &machine_);
+  EXPECT_EQ(disk.materialized_slots(), 0u);
+  PageBlock out;
+  ASSERT_EQ(disk.ReadSync(1000, PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  EXPECT_EQ(disk.materialized_slots(), 0u);  // Reads of empty slots allocate nothing.
+  ASSERT_TRUE(disk.Allocate().ok());
+  ASSERT_TRUE(disk.Allocate().ok());
+  EXPECT_EQ(disk.materialized_slots(), 2u);
+}
+
+TEST_F(PagingDeviceTest, FailedWriteHandsTheBlockBack) {
+  DeviceFaultSwitch faults;
+  faults.Arm(InjectSite::kDeviceWrite, "test");
+  machine_.SetInjector(&faults);
+  auto addr = dev_.Allocate();
+  ASSERT_TRUE(addr.ok());
+
+  PageBlock page = PatternPage(5);
+  EXPECT_EQ(dev_.WriteSync(addr.value(), &page), Status::kDeviceError);
+  EXPECT_TRUE(HoldsPattern(page, 5));  // The caller still holds the only copy.
+
+  bool done = false;
+  dev_.WriteAsync(addr.value(), std::move(page), [&](Status st, PageBlock back) {
+    EXPECT_EQ(st, Status::kDeviceError);
+    EXPECT_TRUE(HoldsPattern(back, 5));
+    done = true;
+  });
+  machine_.events().RunUntilIdle();
+  EXPECT_TRUE(done);
+  machine_.SetInjector(nullptr);
+}
+
+TEST_F(PagingDeviceTest, FailedMoveReadLeavesTheSlotIntact) {
+  auto addr = dev_.Allocate();
+  ASSERT_TRUE(addr.ok());
+  PageBlock page = PatternPage(6);
+  ASSERT_EQ(dev_.WriteSync(addr.value(), &page), Status::kOk);
+
+  DeviceFaultSwitch faults;
+  faults.Arm(InjectSite::kDeviceRead, "test");
+  machine_.SetInjector(&faults);
+  PageBlock out;
+  EXPECT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kMove, &out),
+            Status::kDeviceError);
+  bool done = false;
+  dev_.ReadAsyncUrgent(addr.value(), PagingDevice::ReadMode::kMove,
+                       [&](Status st, PageBlock block) {
+                         EXPECT_EQ(st, Status::kDeviceError);
+                         EXPECT_EQ(block, nullptr);
+                         done = true;
+                       });
+  machine_.events().RunUntilIdle();
+  EXPECT_TRUE(done);
+  faults.Disarm();
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kMove, &out), Status::kOk);
+  EXPECT_TRUE(HoldsPattern(out, 6));
+  machine_.SetInjector(nullptr);
 }
 
 TEST_F(PagingDeviceTest, AsyncCompletionViaEvents) {
   auto addr = dev_.Allocate();
   ASSERT_TRUE(addr.ok());
   bool wrote = false;
-  dev_.WriteAsync(addr.value(), PatternPage(7), [&](Status st) {
+  dev_.WriteAsync(addr.value(), PatternPage(7), [&](Status st, PageBlock back) {
     EXPECT_EQ(st, Status::kOk);
+    EXPECT_EQ(back, nullptr);
     wrote = true;
   });
   EXPECT_FALSE(wrote);  // Not complete until events run.
@@ -85,9 +249,9 @@ TEST_F(PagingDeviceTest, AsyncCompletionViaEvents) {
   EXPECT_TRUE(wrote);
 
   bool read = false;
-  dev_.ReadAsync(addr.value(), [&](Status st, std::vector<Word> data) {
+  dev_.ReadAsync(addr.value(), PagingDevice::ReadMode::kCopy, [&](Status st, PageBlock data) {
     EXPECT_EQ(st, Status::kOk);
-    EXPECT_EQ(data, PatternPage(7));
+    EXPECT_TRUE(HoldsPattern(data, 7));
     read = true;
   });
   machine_.events().RunUntilIdle();
@@ -101,11 +265,11 @@ TEST_F(PagingDeviceTest, TransfersSerializeOnTheDevice) {
   int completed = 0;
   Cycles first_done = 0;
   Cycles second_done = 0;
-  dev_.WriteAsync(a.value(), PatternPage(1), [&](Status) {
+  dev_.WriteAsync(a.value(), PatternPage(1), [&](Status, PageBlock) {
     first_done = machine_.clock().now();
     ++completed;
   });
-  dev_.WriteAsync(b.value(), PatternPage(2), [&](Status) {
+  dev_.WriteAsync(b.value(), PatternPage(2), [&](Status, PageBlock) {
     second_done = machine_.clock().now();
     ++completed;
   });
@@ -119,7 +283,7 @@ TEST_F(PagingDeviceTest, InterruptAssertedOnCompletion) {
   dev_.AttachInterrupt(&machine_.interrupts(), 3);
   auto addr = dev_.Allocate();
   ASSERT_TRUE(addr.ok());
-  dev_.WriteAsync(addr.value(), PatternPage(1), [](Status) {});
+  dev_.WriteAsync(addr.value(), PatternPage(1), [](Status, PageBlock) {});
   machine_.events().RunUntilIdle();
   InterruptEvent ev;
   ASSERT_TRUE(machine_.interrupts().TakePending(&ev));
@@ -452,6 +616,33 @@ TEST_F(PageControlTest, ParallelFlushDrainsInFlightWork) {
   EXPECT_EQ(ReadThrough(pc, seg, 7, 1), 807u);
 }
 
+// A flush home and the fetch back both release their source, so the page
+// travels as the very block the frame held: no words are copied.
+TEST_F(PageControlTest, FlushAndFetchHandTheBlockOver) {
+  SequentialPageControl sequential(&machine_, &core_map_, &bulk_, &disk_, &policy_);
+  ParallelPageControl parallel(&machine_, &core_map_, &bulk_, &disk_, &policy_);
+  uint64_t uid = 1;
+  for (PageControl* pc : std::initializer_list<PageControl*>{&sequential, &parallel}) {
+    SCOPED_TRACE(pc->name());
+    ActiveSegment* seg = NewSegment(uid++, 1);
+    WriteThrough(*pc, seg, 0, 3, 42);
+    auto block_of = [&](PageNo page) {
+      const FrameIndex frame = seg->page_table.entries[page].frame;
+      PageBlock block = machine_.core().TakePage(frame);
+      const Word* words = block.get();
+      machine_.core().PutPage(frame, std::move(block));
+      return words;
+    };
+    const Word* written = block_of(0);
+    ASSERT_NE(written, nullptr);
+    ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+    ASSERT_EQ(seg->location[0].level, PageLevel::kDisk);
+    EXPECT_EQ(ReadThrough(*pc, seg, 0, 3), 42u);
+    EXPECT_EQ(block_of(0), written);
+    ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  }
+}
+
 TEST_F(PageControlTest, OutOfRangePageRejected) {
   SequentialPageControl pc(&machine_, &core_map_, &bulk_, &disk_, &policy_);
   ActiveSegment* seg = NewSegment(1, 2);
@@ -465,6 +656,247 @@ TEST_F(PageControlTest, ResidentPageIsANoop) {
   uint64_t faults = pc.metrics().faults;
   ASSERT_EQ(pc.EnsureResident(seg, 0, AccessMode::kRead), Status::kOk);
   EXPECT_EQ(pc.metrics().faults, faults);  // No new fault recorded.
+}
+
+// --- Page-control failure contract -------------------------------------------------
+//
+// A device fault that outlasts the device's retries must never lose a page:
+// every path that moves or copies a page block either hands the block back
+// to where it came from or leaves the authoritative copy in place. Each test
+// arms a persistent fault on one device and one direction, drives the path,
+// checks the page is still where it was, then clears the fault and reads
+// every page back.
+
+class PageControlFailureTest : public PageControlTest {
+ protected:
+  PageControlFailureTest() { machine_.SetInjector(&faults_); }
+  ~PageControlFailureTest() override { machine_.SetInjector(nullptr); }
+
+  // Stamps both ends of the page with `tag`.
+  void Stamp(PageControl& pc, ActiveSegment* seg, PageNo page, Word tag) {
+    WriteThrough(pc, seg, page, 0, tag);
+    WriteThrough(pc, seg, page, kPageWords - 1, tag);
+  }
+
+  // Faults the page in (if needed) and checks both stamps.
+  void ExpectStamp(PageControl& pc, ActiveSegment* seg, PageNo page, Word tag) {
+    EXPECT_EQ(ReadThrough(pc, seg, page, 0), tag) << "page " << page;
+    EXPECT_EQ(ReadThrough(pc, seg, page, kPageWords - 1), tag) << "page " << page;
+  }
+
+  // The first page of `seg` at `level`, or seg->pages if none is.
+  static PageNo FirstAt(const ActiveSegment* seg, PageLevel level) {
+    PageNo page = 0;
+    while (page < seg->pages && seg->location[page].level != level) {
+      ++page;
+    }
+    return page;
+  }
+
+  void StampAll(PageControl& pc, ActiveSegment* seg) {
+    for (PageNo p = 0; p < seg->pages; ++p) {
+      Stamp(pc, seg, p, 7000 + p);
+    }
+  }
+
+  void ExpectAllStamps(PageControl& pc, ActiveSegment* seg) {
+    for (PageNo p = 0; p < seg->pages; ++p) {
+      ExpectStamp(pc, seg, p, 7000 + p);
+    }
+  }
+
+  DeviceFaultSwitch faults_;
+};
+
+TEST_F(PageControlFailureTest, SequentialEvictionWriteFaultKeepsPageInCore) {
+  SequentialPageControl pc(&machine_, &core_map_, &bulk_, &disk_, &policy_);
+  ActiveSegment* seg = NewSegment(1, 9);
+  for (PageNo p = 0; p < 8; ++p) {  // Fills core.
+    Stamp(pc, seg, p, 7000 + p);
+  }
+  faults_.Arm(InjectSite::kDeviceWrite, "bulk");
+  EXPECT_EQ(pc.EnsureResident(seg, 8, AccessMode::kWrite), Status::kDeviceError);
+  EXPECT_GT(bulk_.failed_transfers(), 0u);
+  EXPECT_EQ(bulk_.used_pages(), 0u);  // The slot went back.
+  for (PageNo p = 0; p < 8; ++p) {
+    EXPECT_TRUE(seg->page_table.entries[p].present) << p;  // Victim reconnected.
+  }
+  faults_.Disarm();
+  Stamp(pc, seg, 8, 7008);
+  EXPECT_GT(pc.metrics().core_evictions, 0u);
+  ExpectAllStamps(pc, seg);
+}
+
+TEST_F(PageControlFailureTest, SequentialBulkToDiskWriteFaultKeepsBulkCopy) {
+  SequentialPageControl pc(&machine_, &core_map_, &bulk_, &disk_, &policy_);
+  ActiveSegment* seg = NewSegment(1, 25);
+  for (PageNo p = 0; p < 24; ++p) {  // Fills core (8) and the bulk store (16).
+    Stamp(pc, seg, p, 7000 + p);
+  }
+  ASSERT_TRUE(bulk_.Full());
+  faults_.Arm(InjectSite::kDeviceWrite, "disk");
+  EXPECT_EQ(pc.EnsureResident(seg, 24, AccessMode::kWrite), Status::kDeviceError);
+  EXPECT_GT(disk_.failed_transfers(), 0u);
+  EXPECT_EQ(pc.metrics().bulk_evictions, 0u);
+  EXPECT_TRUE(bulk_.Full());  // The cascade victim is still on bulk.
+  EXPECT_EQ(disk_.used_pages(), 0u);
+  faults_.Disarm();
+  Stamp(pc, seg, 24, 7024);
+  EXPECT_GT(pc.metrics().bulk_evictions, 0u);
+  ExpectAllStamps(pc, seg);
+}
+
+TEST_F(PageControlFailureTest, SequentialFetchReadFaultKeepsSlot) {
+  SequentialPageControl pc(&machine_, &core_map_, &bulk_, &disk_, &policy_);
+  ActiveSegment* seg = NewSegment(1, 10);
+  StampAll(pc, seg);  // Pages 0 and 1 were evicted to bulk.
+  ASSERT_EQ(seg->location[0].level, PageLevel::kBulk);
+  faults_.Arm(InjectSite::kDeviceRead, "bulk");
+  const uint32_t free_before = core_map_.free_count();
+  EXPECT_EQ(pc.EnsureResident(seg, 0, AccessMode::kRead), Status::kDeviceError);
+  EXPECT_EQ(core_map_.free_count(), free_before + 1);  // The victim's frame, not leaked.
+  EXPECT_EQ(seg->location[0].level, PageLevel::kBulk);
+  faults_.Disarm();
+  ExpectAllStamps(pc, seg);
+
+  // The same from disk.
+  ASSERT_EQ(pc.FlushSegment(seg), Status::kOk);
+  faults_.Arm(InjectSite::kDeviceRead, "disk");
+  EXPECT_EQ(pc.EnsureResident(seg, 3, AccessMode::kRead), Status::kDeviceError);
+  EXPECT_EQ(seg->location[3].level, PageLevel::kDisk);
+  faults_.Disarm();
+  ExpectAllStamps(pc, seg);
+}
+
+// FlushSegment is shared: run its contract under both designs.
+class PageControlFlushFailureTest : public PageControlFailureTest,
+                                    public ::testing::WithParamInterface<bool> {
+ protected:
+  std::unique_ptr<PageControl> MakeControl() {
+    if (GetParam()) {
+      return std::make_unique<ParallelPageControl>(&machine_, &core_map_, &bulk_, &disk_,
+                                                   &policy_);
+    }
+    return std::make_unique<SequentialPageControl>(&machine_, &core_map_, &bulk_, &disk_,
+                                                   &policy_);
+  }
+};
+
+TEST_P(PageControlFlushFailureTest, FlushWriteFaultKeepsCoreCopy) {
+  std::unique_ptr<PageControl> pc = MakeControl();
+  ActiveSegment* seg = NewSegment(1, 4);
+  StampAll(*pc, seg);
+  faults_.Arm(InjectSite::kDeviceWrite, "disk");
+  EXPECT_EQ(pc->FlushSegment(seg), Status::kDeviceError);
+  EXPECT_EQ(seg->location[0].level, PageLevel::kCore);
+  EXPECT_TRUE(seg->page_table.entries[0].present);
+  EXPECT_EQ(disk_.used_pages(), 0u);
+  faults_.Disarm();
+  ExpectAllStamps(*pc, seg);
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  EXPECT_EQ(seg->location[0].level, PageLevel::kDisk);
+  ExpectAllStamps(*pc, seg);
+}
+
+TEST_P(PageControlFlushFailureTest, FlushWriteFaultKeepsBulkCopy) {
+  std::unique_ptr<PageControl> pc = MakeControl();
+  ActiveSegment* seg = NewSegment(1, 12);
+  StampAll(*pc, seg);
+  machine_.events().RunUntilIdle();  // Let any eviction land.
+  // The flush writes pages home in order: make sure the first one it must
+  // write is on bulk.
+  const PageNo on_bulk = FirstAt(seg, PageLevel::kBulk);
+  ASSERT_LT(on_bulk, seg->pages);
+  for (PageNo p = 0; p < on_bulk; ++p) {
+    ASSERT_EQ(seg->location[p].level, PageLevel::kDisk) << p;
+  }
+  const uint32_t bulk_used = bulk_.used_pages();
+  const uint32_t disk_used = disk_.used_pages();
+  faults_.Arm(InjectSite::kDeviceWrite, "disk");
+  EXPECT_EQ(pc->FlushSegment(seg), Status::kDeviceError);
+  EXPECT_EQ(seg->location[on_bulk].level, PageLevel::kBulk);
+  EXPECT_EQ(bulk_.used_pages(), bulk_used);
+  EXPECT_EQ(disk_.used_pages(), disk_used);
+  faults_.Disarm();
+  ExpectAllStamps(*pc, seg);
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  ExpectAllStamps(*pc, seg);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDesigns, PageControlFlushFailureTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& design) {
+                           return design.param ? "Parallel" : "Sequential";
+                         });
+
+TEST_F(PageControlFailureTest, ParallelAsyncEvictionWriteFaultKeepsPageInCore) {
+  ParallelPageControl pc(&machine_, &core_map_, &bulk_, &disk_, &policy_,
+                         ParallelPageControlConfig{.core_low_water = 2, .core_high_water = 4});
+  ActiveSegment* seg = NewSegment(1, 9);
+  for (PageNo p = 0; p < 8; ++p) {  // Fills core and wakes the free-core daemon.
+    Stamp(pc, seg, p, 7000 + p);
+  }
+  faults_.Arm(InjectSite::kDeviceWrite, "bulk");
+  machine_.events().RunUntilIdle();  // The daemon's writes fail past their retries.
+  EXPECT_GT(bulk_.failed_transfers(), 0u);
+  EXPECT_EQ(pc.evictions_in_flight(), 0u);
+  EXPECT_EQ(pc.metrics().core_evictions, 0u);  // Every eviction was undone.
+  EXPECT_EQ(bulk_.used_pages(), 0u);
+  for (PageNo p = 0; p < 8; ++p) {
+    EXPECT_EQ(seg->location[p].level, PageLevel::kCore) << p;
+    EXPECT_TRUE(seg->page_table.entries[p].present) << p;
+  }
+  faults_.Disarm();
+  Stamp(pc, seg, 8, 7008);  // Needs a frame: the daemon now evicts for real.
+  machine_.events().RunUntilIdle();
+  EXPECT_GT(pc.metrics().core_evictions, 0u);
+  ExpectAllStamps(pc, seg);
+}
+
+TEST_F(PageControlFailureTest, ParallelBulkToDiskWriteFaultKeepsBulkCopy) {
+  // The free-bulk daemon starts moving pages to disk once fewer than 12 of
+  // the 16 bulk slots are free.
+  ParallelPageControl pc(
+      &machine_, &core_map_, &bulk_, &disk_, &policy_,
+      ParallelPageControlConfig{.bulk_low_water = 12, .bulk_high_water = 16});
+  ActiveSegment* seg = NewSegment(1, 16);
+  faults_.Arm(InjectSite::kDeviceWrite, "disk");
+  for (PageNo p = 0; p < seg->pages; ++p) {
+    Stamp(pc, seg, p, 7000 + p);
+    machine_.events().RunUntil(machine_.clock().now());
+  }
+  machine_.events().RunUntilIdle();
+  EXPECT_GT(pc.bulk_daemon_wakeups(), 0u);
+  EXPECT_GT(pc.metrics().bulk_evictions, 0u);  // Moves were attempted...
+  EXPECT_GT(disk_.failed_transfers(), 0u);     // ...and every disk write failed.
+  EXPECT_EQ(disk_.used_pages(), 0u);
+  for (PageNo p = 0; p < seg->pages; ++p) {
+    EXPECT_NE(seg->location[p].level, PageLevel::kDisk) << p;
+    EXPECT_NE(seg->location[p].level, PageLevel::kInTransit) << p;
+  }
+  faults_.Disarm();
+  ExpectAllStamps(pc, seg);
+}
+
+TEST_F(PageControlFailureTest, ParallelUrgentFetchReadFaultKeepsSlot) {
+  ParallelPageControl pc(&machine_, &core_map_, &bulk_, &disk_, &policy_);
+  ActiveSegment* seg = NewSegment(1, 12);
+  StampAll(pc, seg);
+  machine_.events().RunUntilIdle();  // The free-bulk daemon moves some to disk.
+  for (PageLevel level : {PageLevel::kBulk, PageLevel::kDisk}) {
+    const PageNo page = FirstAt(seg, level);
+    ASSERT_LT(page, seg->pages) << PageLevelName(level);
+    PagingDevice& device = level == PageLevel::kBulk ? bulk_ : disk_;
+    const uint32_t free_before = core_map_.free_count();
+    const uint32_t used_before = device.used_pages();
+    faults_.Arm(InjectSite::kDeviceRead, device.name());
+    EXPECT_EQ(pc.EnsureResident(seg, page, AccessMode::kRead), Status::kDeviceError);
+    EXPECT_EQ(core_map_.free_count(), free_before);  // The frame went back.
+    EXPECT_EQ(seg->location[page].level, level);
+    EXPECT_EQ(device.used_pages(), used_before);
+    faults_.Disarm();
+    ExpectStamp(pc, seg, page, 7000 + page);
+  }
+  ExpectAllStamps(pc, seg);
 }
 
 // --- Policy/mechanism gates -------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "src/init/bootstrap.h"
@@ -108,6 +109,51 @@ TEST(SessionEngineTest, RejectsDegenerateConfig) {
   session::SessionEngineConfig config;
   config.sessions = 0;
   EXPECT_FALSE(session::SessionEngine::Create(&kernel, config).ok());
+}
+
+// Regression: the bulk store and the disk both hand out addresses from 0,
+// and asynchronous transfer completions used to recognise their page by
+// address alone. On a 16-page bulk store that overflows to disk, a page
+// evicted to disk address 7, reclaimed, and evicted again to bulk address 7
+// had its stale disk write match the bulk daemon's move of bulk address 7:
+// the stale completion released a frame that by then belonged to another
+// segment (a CHECK in CoreMap::Release, or two segments sharing one frame).
+TEST(SessionEngineTest, OverflowingBulkStoreNeverAliasesTransfers) {
+  KernelParams params;
+  params.machine.cpus = 4;
+  params.machine.core_frames = 24;
+  params.ast_capacity = 128;
+  params.bulk_pages = 16;
+  Kernel kernel(params);
+  ASSERT_TRUE(Bootstrap::Run(kernel, {.users = DefaultUsers()}).ok());
+
+  session::SessionEngineConfig config;
+  config.sessions = 120;
+  config.seed = 777;
+  config.mean_interarrival = 4500;
+  auto engine = session::SessionEngine::Create(&kernel, config);
+  ASSERT_TRUE(engine.ok());
+  EXPECT_EQ(engine.value()->Run(), Status::kOk);
+  EXPECT_EQ(engine.value()->stats().completed, 120u);
+  EXPECT_GT(kernel.page_control().metrics().bulk_evictions, 0u);  // The bulk store overflowed.
+
+  // Once the daemons drain, a page is in core exactly when its PTE is
+  // present, and no two present pages share a frame.
+  kernel.page_control().PumpIdle();
+  std::set<FrameIndex> frames;
+  uint32_t present = 0;
+  kernel.store().ast()->ForEach([&](ActiveSegment* seg) {
+    for (PageNo page = 0; page < seg->pages; ++page) {
+      const PageTableEntry& pte = seg->page_table.entries[page];
+      EXPECT_EQ(pte.present, seg->location[page].level == PageLevel::kCore)
+          << "segment " << seg->uid << " page " << page;
+      if (pte.present) {
+        ++present;
+        frames.insert(pte.frame);
+      }
+    }
+  });
+  EXPECT_EQ(frames.size(), present);
 }
 
 }  // namespace

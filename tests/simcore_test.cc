@@ -134,6 +134,82 @@ TEST(SimCoreGoldenTest, FourCpuFingerprintMatchesSeed) {
   EXPECT_EQ(fp.meter_export_hash, 0x17f5de348a60a3b6ull);
 }
 
+// --- The memory-pressure oath ------------------------------------------------
+//
+// The golden workload above runs with core and AST far larger than its
+// working set, so it never evicts a page or a segment. This one squeezes the
+// same engine into 24 frames and 32 AST entries on the default bulk store and
+// disk: pages thrash through core, bulk and disk, and segments are evicted
+// from the AST and reactivated by segment faults. It pins the page-control
+// and segment-control paths (page moves, the device slot store, AST victim
+// selection) the way the oath above pins the scheduler and the meter.
+//
+// The constants were captured from the tree before pages moved by ownership
+// and the segment store was indexed by uid; do not regenerate them casually.
+
+struct PressureFingerprint {
+  GoldenFingerprint golden;
+  uint64_t ast_evictions = 0;
+  PageControlMetrics paging;
+};
+
+PressureFingerprint RunPressureWorkload(uint32_t cpus) {
+  KernelParams params;
+  params.machine.cpus = cpus;
+  params.machine.core_frames = 24;
+  params.ast_capacity = 32;
+  Kernel kernel(params);
+  BootstrapOptions options;
+  options.users = DefaultUsers();
+  EXPECT_TRUE(Bootstrap::Run(kernel, options).ok());
+
+  TrafficController& traffic = kernel.traffic();
+  traffic.EnableDispatchTrace(1u << 16);
+
+  session::SessionEngineConfig config;
+  config.sessions = 120;
+  config.seed = 777;
+  config.mean_interarrival = 4500;
+  auto engine = session::SessionEngine::Create(&kernel, config);
+  EXPECT_TRUE(engine.ok());
+  EXPECT_EQ(engine.value()->Run(), Status::kOk);
+
+  PressureFingerprint fp;
+  fp.golden.dispatch_hash = DispatchHash(traffic.dispatch_trace());
+  fp.golden.final_clock = kernel.machine().clock().now();
+  fp.golden.meter_export_hash = MeterExportHash(kernel.machine().meter());
+  fp.golden.completed = engine.value()->stats().completed;
+  fp.ast_evictions = kernel.store().ast_evictions();
+  fp.paging = kernel.page_control().metrics();
+  return fp;
+}
+
+// The oath only means something if the workload really drives every level.
+void ExpectPressureCoversThePagingPaths(const PressureFingerprint& fp) {
+  EXPECT_GT(fp.ast_evictions, 0u);
+  EXPECT_GT(fp.paging.core_evictions, 0u);
+  EXPECT_GT(fp.paging.fetches_from_bulk, 0u);
+  EXPECT_GT(fp.paging.fetches_from_disk, 0u);
+}
+
+TEST(SimCorePressureTest, UniprocessorFingerprintMatchesSeed) {
+  const PressureFingerprint fp = RunPressureWorkload(/*cpus=*/1);
+  ExpectPressureCoversThePagingPaths(fp);
+  EXPECT_EQ(fp.golden.completed, 120u);
+  EXPECT_EQ(fp.golden.dispatch_hash, 0x6e18070026576550ull);
+  EXPECT_EQ(fp.golden.final_clock, 41937697u);
+  EXPECT_EQ(fp.golden.meter_export_hash, 0xb74809239546f031ull);
+}
+
+TEST(SimCorePressureTest, FourCpuFingerprintMatchesSeed) {
+  const PressureFingerprint fp = RunPressureWorkload(/*cpus=*/4);
+  ExpectPressureCoversThePagingPaths(fp);
+  EXPECT_EQ(fp.golden.completed, 120u);
+  EXPECT_EQ(fp.golden.dispatch_hash, 0x7c4c86c6997722ddull);
+  EXPECT_EQ(fp.golden.final_clock, 21218421u);
+  EXPECT_EQ(fp.golden.meter_export_hash, 0xefcce411adf7dfa9ull);
+}
+
 // Two same-configuration runs in one process must agree with themselves too:
 // the caches and slabs the refactor adds keep no state that leaks from one
 // machine into the next.
