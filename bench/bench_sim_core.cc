@@ -91,7 +91,7 @@ struct MeterRun {
   uint64_t sample_count = 0;
 };
 
-// Hammer the three meter fast paths: const char* site-cached counters,
+// Hammer the three meter fast paths: StaticName site-cached counters,
 // pre-interned MeterId counters, and named distributions.
 MeterRun RunMeter(uint64_t ops) {
   Machine machine(MachineConfig{});

@@ -75,7 +75,7 @@ NO_WERROR=-DCMAKE_COMPILE_WARNING_AS_ERROR=OFF  # Explicit: the setting is cache
 if [[ "${1:-}" == "--lint" ]]; then
   echo "== static certifier: mx_lint + mx_audit + fixture tests (build/) =="
   cmake -B build -S . "$WERROR"
-  cmake --build build -j --target mx_lint mx_audit lint_test audit_static_test
+  cmake --build build -j "$(nproc)" --target mx_lint mx_audit lint_test audit_static_test
   (cd build && ctest --output-on-failure -L lint -j "$(nproc)")
   if command -v clang-tidy >/dev/null 2>&1; then
     echo "== clang-tidy (.clang-tidy: bugprone-*, performance-*) over src/base =="
@@ -90,7 +90,7 @@ fi
 if [[ "${1:-}" == "--tsan" ]]; then
   echo "== parallel page-control suite under TSan (build-tsan/) =="
   cmake -B build-tsan -S . "$NO_WERROR" -DMULTICS_SANITIZE=thread
-  cmake --build build-tsan -j --target mem_test stress_test
+  cmake --build build-tsan -j "$(nproc)" --target mem_test stress_test
   (cd build-tsan && ctest --output-on-failure -R 'mem_test|stress_test' -j "$(nproc)")
   echo "== ok (tsan suite) =="
   exit 0
@@ -99,7 +99,7 @@ fi
 if [[ "${1:-}" == "--smp" ]]; then
   echo "== simulated multiprocessor: tier-1 ctest at MULTICS_CPUS=4 (build/) =="
   cmake -B build -S . "$WERROR"
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   (cd build && MULTICS_CPUS=4 ctest --output-on-failure -j "$(nproc)")
   echo "== smp scheduler/determinism tests at 1, 2, and 6 CPUs =="
   for n in 1 2 6; do
@@ -114,13 +114,13 @@ fi
 if [[ "${1:-}" == "--sessions" ]]; then
   echo "== session engine + scheduler suite under ASan+UBSan (build-asan/) =="
   cmake -B build-asan -S . "$NO_WERROR" -DMULTICS_SANITIZE=ON
-  cmake --build build-asan -j --target session_test sched_test bench_sessions
+  cmake --build build-asan -j "$(nproc)" --target session_test sched_test bench_sessions
   (cd build-asan && ctest --output-on-failure -R 'session_test|sched_test|bench_sessions_smoke' -j "$(nproc)")
   echo "== bench_sessions full run under ASan (100/1k/10k sessions, MLF vs FIFO) =="
   ./build-asan/bench/bench_sessions --json=build-asan/BENCH_SESSIONS_ASAN.json
   echo "== tier-1 ctest with the MLF scheduler (build/) =="
   cmake -B build -S . "$WERROR"
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   (cd build && ctest --output-on-failure -j "$(nproc)")
   echo "== ok (sessions suite) =="
   exit 0
@@ -129,7 +129,7 @@ fi
 if [[ "${1:-}" == "--certify" ]]; then
   echo "== exhaustive certification suite (build/) =="
   cmake -B build -S . "$WERROR"
-  cmake --build build -j --target mx_mc mx_lint modelcheck_test lint_test
+  cmake --build build -j "$(nproc)" --target mx_mc mx_lint modelcheck_test lint_test
   echo "== certify- and lint-labeled ctests =="
   (cd build && ctest --output-on-failure -L 'certify|lint' -j "$(nproc)")
   echo "== determinism: two mx_mc runs must match to the byte =="
@@ -157,7 +157,7 @@ if [[ "${1:-}" == "--perf" ]]; then
     fi
     echo "== rebaseline: regenerating bench/smoke_baseline.json (build/) =="
     cmake -B build -S . "$WERROR"
-    cmake --build build -j --target bench_harness
+    cmake --build build -j "$(nproc)" --target bench_harness
     MULTICS_CPUS=1 MX_HOST_PROFILE=1 \
       ./build/bench/bench_harness --smoke --json=bench/smoke_baseline.json
     echo "== new baseline written; review the diff and commit it =="
@@ -166,7 +166,7 @@ if [[ "${1:-}" == "--perf" ]]; then
   fi
   echo "== host-performance observatory suite (build/) =="
   cmake -B build -S . "$WERROR"
-  cmake --build build -j --target bench_harness bench_cost_of_security mx_top hostprof_test
+  cmake --build build -j "$(nproc)" --target bench_harness bench_cost_of_security mx_top hostprof_test
   echo "== perf-labeled ctests (mx_top --once) + hostprof_test =="
   (cd build && ctest --output-on-failure -L perf)
   (cd build && ctest --output-on-failure -R hostprof_test)
@@ -193,7 +193,7 @@ fi
 if [[ "${1:-}" == "--faults" ]]; then
   echo "== fault-injection suite under ASan+UBSan (build-asan/) =="
   cmake -B build-asan -S . "$NO_WERROR" -DMULTICS_SANITIZE=ON
-  cmake --build build-asan -j --target inject_test salvager_test stress_test bench_fault_storm
+  cmake --build build-asan -j "$(nproc)" --target inject_test salvager_test stress_test bench_fault_storm
   (cd build-asan && ctest --output-on-failure -R 'inject_test|salvager_test|stress_test|bench_fault_storm' -j "$(nproc)")
   echo "== ok (fault suite) =="
   exit 0
@@ -201,8 +201,8 @@ fi
 
 echo "== tier-1: configure + build + ctest (build/) =="
 cmake -B build -S . "$WERROR"
-cmake --build build -j
-(cd build && ctest --output-on-failure -j)
+cmake --build build -j "$(nproc)"
+(cd build && ctest --output-on-failure -j "$(nproc)")
 
 if [[ "${1:-}" == "--fast" ]]; then
   echo "== ok (fast mode: sanitizers skipped) =="
@@ -214,7 +214,7 @@ echo "== sanitized: ASan+UBSan build + ctest (build-asan/) =="
 # bench_fault_storm smokes), so every injected-fault recovery path runs under
 # the sanitizers here too.
 cmake -B build-asan -S . "$NO_WERROR" -DMULTICS_SANITIZE=ON
-cmake --build build-asan -j
-(cd build-asan && ctest --output-on-failure -j)
+cmake --build build-asan -j "$(nproc)"
+(cd build-asan && ctest --output-on-failure -j "$(nproc)")
 
 echo "== ok =="

@@ -23,8 +23,6 @@ const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetMinLogLevel() { return g_min_level; }
-
 void SetMinLogLevel(LogLevel level) { g_min_level = level; }
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {

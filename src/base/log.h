@@ -17,7 +17,6 @@ namespace multics {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
 // Global minimum level; messages below it are discarded.
-LogLevel GetMinLogLevel();
 void SetMinLogLevel(LogLevel level);
 
 class LogMessage {

@@ -80,12 +80,14 @@ uint64_t Rng::NextZipf(uint64_t n, double s) {
     const double u = NextDouble();
     const double v = NextDouble();
     const double x = std::floor(std::pow(u, -1.0 / (s - 1.0 + 1e-9)));
+    // Rank test first, on the double: x can exceed 2^64, where converting
+    // it to uint64_t is undefined, and a rejected rank needs no second pow.
+    if (x > static_cast<double>(n)) {
+      continue;
+    }
     const double t = std::pow(1.0 + 1.0 / x, s - 1.0 + 1e-9);
     if (v * x * (t - 1.0) / (b - 1.0) <= t / b) {
-      uint64_t rank = static_cast<uint64_t>(x) - 1;
-      if (rank < n) {
-        return rank;
-      }
+      return static_cast<uint64_t>(x) - 1;
     }
   }
 }

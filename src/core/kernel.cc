@@ -120,7 +120,7 @@ void Kernel::RegisterGates() {
 
 // --- Gate prologue -------------------------------------------------------------------
 
-GateSpan::GateSpan(Kernel* kernel, Process& caller, const char* name, uint32_t arg_words)
+GateSpan::GateSpan(Kernel* kernel, Process& caller, StaticName name, uint32_t arg_words)
     : kernel_(kernel), name_(name), status_(kernel->EnterGate(caller, name, &gate_index_)) {
   if (status_ != Status::kOk) {
     return;
@@ -162,18 +162,18 @@ GateSpan::~GateSpan() {
     // of the hottest allocation sites in the simulator.
     uint32_t& slot = kernel_->gates_.meter_slot(gate_index_);
     if (slot == GateTable::kNoMeterSlot) {
-      slot = meter.InternDistribution(std::string("gate/") + name_);
+      slot = meter.InternDistribution(std::string("gate/") + name_.c_str());
     }
     meter.AddSample(slot, static_cast<double>(elapsed));
   }
 }
 
-Status Kernel::EnterGate(Process& caller, const char* name, int32_t* gate_index) {
-  const int32_t index = gates_.RecordCallIndexed(name);
+Status Kernel::EnterGate(Process& caller, StaticName name, int32_t* gate_index) {
+  const int32_t index = gates_.RecordCallIndexed(name.c_str());
   if (index < 0) {
     // The mechanism is not part of this configuration's kernel: there is no
     // such gate in the descriptor, so the hardware would fault the call.
-    audit_.Record(machine_.clock().now(), caller.principal_string(), name, kInvalidUid,
+    audit_.Record(machine_.clock().now(), caller.principal_string(), name.c_str(), kInvalidUid,
                   Status::kNotAGate);
     return Status::kNotAGate;
   }
@@ -183,13 +183,14 @@ Status Kernel::EnterGate(Process& caller, const char* name, int32_t* gate_index)
   // ordinary denial, so no kernel data structure is left half-updated —
   // exactly the containment property the gate discipline is meant to give.
   if (machine_.injector() != nullptr) {
-    InjectionDecision d = machine_.ConsultInjector(InjectSite::kGateEntry, name, caller.pid());
+    InjectionDecision d =
+        machine_.ConsultInjector(InjectSite::kGateEntry, name.c_str(), caller.pid());
     if (d.IsFault()) {
       if (d.delay > 0) {
         machine_.Charge(d.delay, "fault_path");
       }
-      audit_.Record(machine_.clock().now(), caller.principal_string(), name, kInvalidUid,
-                    d.fault);
+      audit_.Record(machine_.clock().now(), caller.principal_string(), name.c_str(),
+                    kInvalidUid, d.fault);
       return d.fault;
     }
   }

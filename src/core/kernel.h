@@ -36,6 +36,7 @@
 #include "src/mem/page_control_parallel.h"
 #include "src/mem/page_control_sequential.h"
 #include "src/meter/host_profile.h"
+#include "src/meter/trace.h"
 #include "src/net/device_io.h"
 #include "src/net/network.h"
 #include "src/proc/traffic_controller.h"
@@ -314,7 +315,7 @@ class Kernel {
   // the gate's causal span and the crossing shows up as gate self-cycles.
   // `gate_index` (optional) receives the gate's index in the table, for
   // per-gate cached metering state; untouched on refusal.
-  Status EnterGate(Process& caller, const char* name, int32_t* gate_index = nullptr);
+  Status EnterGate(Process& caller, StaticName name, int32_t* gate_index = nullptr);
   void ChargeGateCrossing(uint32_t arg_words);
 
   // Initiation tail shared by all addressing flavours.
@@ -386,11 +387,11 @@ class Kernel {
 // kGateEnter/kGateExit bracketing the gate body, nested under whatever span
 // the caller was in — attributed to the calling process at ring 0 (where
 // the gate body runs), and feeds the elapsed cycles into the meter's
-// per-gate distribution "gate/<name>". `name` must be a string literal —
-// the flight recorder keeps the pointer.
+// per-gate distribution "gate/<name>". `name` is a StaticName because the
+// flight recorder keeps the pointer.
 class GateSpan {
  public:
-  GateSpan(Kernel* kernel, Process& caller, const char* name, uint32_t arg_words = 2);
+  GateSpan(Kernel* kernel, Process& caller, StaticName name, uint32_t arg_words = 2);
   ~GateSpan();
 
   GateSpan(const GateSpan&) = delete;
@@ -405,7 +406,7 @@ class GateSpan {
   // of its self time. Host-clock only; never touches simulated state.
   HostSpan host_span_{HostSubsystem::kGateCall};
   Kernel* kernel_;
-  const char* name_;
+  StaticName name_;
   int32_t gate_index_ = -1;  // Set by EnterGate when the gate exists.
   Status status_;
   TraceContext* ctx_ = nullptr;  // Context the span opened on; null if none.

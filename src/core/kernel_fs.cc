@@ -289,7 +289,7 @@ Result<uint32_t> Kernel::SegGetLength(Process& caller, SegNo segno) {
 Status Kernel::SegSetLength(Process& caller, SegNo segno, uint32_t pages) {
   // seg_set_length and seg_truncate share one implementation behind two
   // gates, as the real supervisor did.
-  const char* gate = "seg_set_length";
+  StaticName gate = "seg_set_length";
   {
     auto uid = caller.kst().UidOf(segno);
     if (uid.ok()) {
@@ -306,7 +306,8 @@ Status Kernel::SegSetLength(Process& caller, SegNo segno, uint32_t pages) {
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   // Changing the length modifies the segment: write access required.
   MX_RETURN_IF_ERROR(monitor_.RequireSegment(*branch, caller.principal(), caller.clearance(),
-                                             kModeWrite, gate, machine_.clock().now(), Trusted(caller)));
+                                             kModeWrite, gate.c_str(), machine_.clock().now(),
+                                             Trusted(caller)));
   MX_RETURN_IF_ERROR(store_.SetLength(uid, pages));
   // Refresh this process's SDW bound (others refresh on segment fault).
   return ConnectSdw(caller, segno, uid);

@@ -39,12 +39,6 @@ Path Path::Parent() const {
   return parent;
 }
 
-Path Path::Child(const std::string& name) const {
-  Path child = *this;
-  child.components.push_back(name);
-  return child;
-}
-
 Result<Path> Path::Parse(const std::string& text) {
   if (text.empty() || text[0] != '>') {
     return Status::kInvalidArgument;  // Only absolute paths at this layer.

@@ -25,8 +25,6 @@ enum class FaultType {
   kOutOfBounds,
 };
 
-const char* FaultTypeName(FaultType type);
-
 class FaultSink {
  public:
   virtual ~FaultSink() = default;

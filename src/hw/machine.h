@@ -120,7 +120,6 @@ class Machine {
 
   void PostConnect(uint32_t cpu);
   bool TakeConnect(uint32_t cpu);
-  bool ConnectPending(uint32_t cpu) const { return connect_pending_[cpu] != 0; }
   uint64_t connects_posted() const { return connects_posted_; }
   uint64_t connects_taken() const { return connects_taken_; }
 

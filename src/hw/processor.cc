@@ -9,12 +9,7 @@ namespace {
 // error delivered to the running program.
 constexpr int kMaxFaultRetries = 4;
 
-const char* FaultNames[] = {"segment_fault", "page_fault",    "access_violation",
-                            "gate_violation", "linkage_fault", "out_of_bounds"};
-
 }  // namespace
-
-const char* FaultTypeName(FaultType type) { return FaultNames[static_cast<int>(type)]; }
 
 const char* RingModeName(RingMode mode) {
   return mode == RingMode::kHardware6180 ? "hardware-6180" : "software-645";

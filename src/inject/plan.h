@@ -39,8 +39,6 @@ enum class FaultKind : uint8_t {
   kHierarchyTear,     // A directory mutation is abandoned half-done.
 };
 
-const char* FaultKindName(FaultKind kind);
-
 // Matches any point.detail.
 inline constexpr uint64_t kAnyDetail = UINT64_MAX;
 

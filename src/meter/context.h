@@ -33,14 +33,12 @@ struct Attribution {
 struct SpanFrame {
   uint64_t id = 0;
   uint64_t parent = 0;      // Enclosing span's id at open time (0 = root).
-  const char* name = "";    // Static string owned by the call site.
   Cycles start = 0;
   Cycles child_cycles = 0;  // Total cycles of already-closed direct children.
-  uint64_t pid = 0;         // Attribution captured at open.
-  uint8_t ring = 0;
-  uint32_t path_id = 0;     // Interned call path (Meter), captured at open;
-                            // valid at close because the frames below this
-                            // one cannot change while it is on the stack.
+  uint32_t path_id = 0;     // The Meter's profile node for this span, interned
+                            // at open: the span's name, its parent's node, and
+                            // the attribution {pid, ring} captured then. The
+                            // close adds into it by index; ids outlive Clear().
 };
 
 // A process's causal span stack. Owned by the Process (or by the Meter for

@@ -1,6 +1,7 @@
 #include "src/meter/export.h"
 
 #include <cinttypes>
+#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -204,11 +205,6 @@ std::string MeterReport(const Meter& meter) {
     }
   }
   return os.str();
-}
-
-void PrintMeterReport(const Meter& meter, std::FILE* out) {
-  const std::string report = MeterReport(meter);
-  std::fwrite(report.data(), 1, report.size(), out);
 }
 
 }  // namespace multics

@@ -9,7 +9,6 @@
 #ifndef SRC_METER_EXPORT_H_
 #define SRC_METER_EXPORT_H_
 
-#include <cstdio>
 #include <string>
 
 #include "src/base/status.h"
@@ -39,8 +38,6 @@ Status WriteTextFile(const std::string& text, const std::string& path);
 // distribution's Summary() line, and the per-process / per-ring
 // cycle-attribution summary folded from closed spans.
 std::string MeterReport(const Meter& meter);
-
-void PrintMeterReport(const Meter& meter, std::FILE* out = stdout);
 
 }  // namespace multics
 

@@ -16,12 +16,18 @@ auto NameLowerBound(auto& names, std::string_view name) {
       [](const auto& entry, std::string_view key) { return entry.first < key; });
 }
 
+size_t NodeHash(uint32_t parent, const char* name, uint64_t pid, uint8_t ring) {
+  uint64_t h = (reinterpret_cast<uintptr_t>(name) >> 3) ^ (uint64_t{parent} << 24) ^
+               (pid * 0x100000001B3ull) ^ ring;
+  // Multiplied last so the low bits (the open-address mask) are mixed.
+  h *= 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(h ^ (h >> 32));
+}
+
 }  // namespace
 
 Meter::Meter(const SimClock* clock, size_t recorder_capacity)
-    : clock_(clock), recorder_(recorder_capacity) {
-  paths_.push_back(PathNode{0, "", ""});  // Path id 0: the empty root.
-}
+    : clock_(clock), recorder_(recorder_capacity), nodes_(1) {}
 
 MeterId Meter::InternCounter(std::string_view name) {
   auto it = NameLowerBound(counter_names_, name);
@@ -45,80 +51,66 @@ MeterId Meter::InternDistribution(std::string_view name) {
   return id;
 }
 
-void Meter::Count(std::string_view name, uint64_t delta) {
+void Meter::Emit(TraceEventKind kind, StaticName name, uint64_t arg) {
   MX_HOST_SPAN(kMeterRecord);
   if (!enabled_) {
     return;
   }
-  Count(InternCounter(name), delta);
-}
-
-void Meter::AddSample(std::string_view name, double sample) {
-  MX_HOST_SPAN(kMeterRecord);
-  if (!enabled_) {
-    return;
-  }
-  AddSample(InternDistribution(name), sample);
-}
-
-void Meter::CheckName(const char* name) {
-  if (!name_check_) {
-    // While checking is off, every pointer that flows through is presumed
-    // static and remembered, so a later checked phase doesn't flag the
-    // program's pre-existing literals.
-    known_names_.insert(name);
-    return;
-  }
-  if (known_names_.find(name) == known_names_.end()) {
-    ++name_contract_violations_;
-  }
-}
-
-void Meter::Emit(TraceEventKind kind, const char* name, uint64_t arg) {
-  MX_HOST_SPAN(kMeterRecord);
-  if (!enabled_) {
-    return;
-  }
-  CheckName(name);
   ++kind_totals_[static_cast<size_t>(kind)];
   const auto& stack = context_->stack;
   const uint64_t enclosing = stack.empty() ? 0 : stack.back().id;
-  recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(stack.size()), name, arg,
-                            attribution_.pid, enclosing, 0, cpu_});
+  recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(stack.size()),
+                            name.c_str(), arg, attribution_.pid, enclosing, 0, cpu_});
 }
 
-uint32_t Meter::InternPath(uint32_t parent, const char* name) {
-  const PathKey key{parent, name};
-  auto it = path_ids_.find(key);
-  if (it != path_ids_.end()) {
-    return it->second;
+uint32_t Meter::InternNode(uint32_t parent, const char* name) {
+  if (nodes_.size() * 10 >= node_slots_.size() * 7) {
+    RehashNodes(node_slots_.empty() ? 64 : node_slots_.size() * 2);
   }
-  const uint32_t id = static_cast<uint32_t>(paths_.size());
-  std::string full = paths_[parent].full;
-  if (!full.empty()) {
-    full += ';';
+  const size_t mask = node_slots_.size() - 1;
+  for (size_t i = NodeHash(parent, name, attribution_.pid, attribution_.ring) & mask;;
+       i = (i + 1) & mask) {
+    const uint32_t id = node_slots_[i];
+    if (id == 0) {
+      node_slots_[i] = static_cast<uint32_t>(nodes_.size());
+      nodes_.push_back(ProfileNode{parent, attribution_.ring, attribution_.pid, name, {}});
+      return node_slots_[i];
+    }
+    const ProfileNode& node = nodes_[id];
+    if (node.parent == parent && node.name == name && node.pid == attribution_.pid &&
+        node.ring == attribution_.ring) {
+      return id;
+    }
   }
-  full += name;
-  paths_.push_back(PathNode{parent, name, std::move(full)});
-  path_ids_.emplace(key, id);
-  return id;
 }
 
-TraceContext* Meter::OpenSpan(const char* name, TraceEventKind kind, uint64_t arg) {
+void Meter::RehashNodes(size_t size) {
+  node_slots_.assign(size, 0);
+  const size_t mask = size - 1;
+  for (uint32_t id = 1; id < nodes_.size(); ++id) {
+    const ProfileNode& node = nodes_[id];
+    size_t i = NodeHash(node.parent, node.name, node.pid, node.ring) & mask;
+    while (node_slots_[i] != 0) {
+      i = (i + 1) & mask;
+    }
+    node_slots_[i] = id;
+  }
+}
+
+TraceContext* Meter::OpenSpan(StaticName name, TraceEventKind kind, uint64_t arg) {
   MX_HOST_SPAN(kMeterRecord);
   if (!enabled_) {
     return nullptr;
   }
-  CheckName(name);
   TraceContext* ctx = context_;
   const uint64_t parent = ctx->stack.empty() ? 0 : ctx->stack.back().id;
-  const uint32_t parent_path = ctx->stack.empty() ? 0 : ctx->stack.back().path_id;
+  const uint32_t parent_node = ctx->stack.empty() ? 0 : ctx->stack.back().path_id;
   const uint64_t id = next_span_id_++;
-  ctx->stack.push_back(SpanFrame{id, parent, name, clock_->now(), 0, attribution_.pid,
-                                 attribution_.ring, InternPath(parent_path, name)});
+  ctx->stack.push_back(
+      SpanFrame{id, parent, clock_->now(), 0, InternNode(parent_node, name.c_str())});
   ++kind_totals_[static_cast<size_t>(kind)];
-  recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(ctx->stack.size()), name,
-                            arg, attribution_.pid, id, parent, cpu_});
+  recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(ctx->stack.size()),
+                            name.c_str(), arg, attribution_.pid, id, parent, cpu_});
   return ctx;
 }
 
@@ -129,59 +121,25 @@ Cycles Meter::CloseSpan(TraceContext* ctx, TraceEventKind kind) {
   }
   CHECK(!ctx->stack.empty()) << "CloseSpan on a context with no open span";
   const SpanFrame frame = ctx->stack.back();
+  ProfileNode& node = nodes_[frame.path_id];
   const Cycles elapsed = clock_->now() - frame.start;
-  CHECK(frame.child_cycles <= elapsed) << "span '" << frame.name << "' children exceed total";
+  CHECK(frame.child_cycles <= elapsed) << "span '" << node.name << "' children exceed total";
   if (enabled_) {
     ++kind_totals_[static_cast<size_t>(kind)];
     recorder_.Push(TraceEvent{clock_->now(), kind, static_cast<uint32_t>(ctx->stack.size()),
-                              frame.name, elapsed, frame.pid, frame.id, frame.parent, cpu_});
+                              node.name, elapsed, node.pid, frame.id, frame.parent, cpu_});
   }
   ctx->stack.pop_back();
   if (!ctx->stack.empty()) {
     ctx->stack.back().child_cycles += elapsed;
   }
   if (enabled_) {
-    const uint32_t cell = ProfileCellFor(CellKey{frame.pid, frame.path_id, frame.ring});
-    ProfileEntry& entry = profile_cells_[cell].entry;
-    ++entry.count;
-    entry.total += elapsed;
-    entry.self += elapsed - frame.child_cycles;
+    ++node.entry.count;
+    node.entry.total += elapsed;
+    node.entry.self += elapsed - frame.child_cycles;
     profile_view_valid_ = false;
   }
   return elapsed;
-}
-
-uint32_t Meter::ProfileCellFor(const CellKey& key) {
-  if ((cell_count_ + 1) * 10 >= cell_slots_.size() * 7) {
-    const size_t new_size = cell_slots_.empty() ? 64 : cell_slots_.size() * 2;
-    std::vector<CellSlot> grown(new_size);
-    const size_t mask = new_size - 1;
-    for (const CellSlot& slot : cell_slots_) {
-      if (slot.cell == kFreeCell) continue;
-      size_t i = CellKeyHash{}(slot.key) & mask;
-      while (grown[i].cell != kFreeCell) {
-        i = (i + 1) & mask;
-      }
-      grown[i] = slot;
-    }
-    cell_slots_ = std::move(grown);
-  }
-  const size_t mask = cell_slots_.size() - 1;
-  size_t i = CellKeyHash{}(key) & mask;
-  for (;;) {
-    CellSlot& slot = cell_slots_[i];
-    if (slot.cell == kFreeCell) {
-      slot.key = key;
-      slot.cell = static_cast<uint32_t>(profile_cells_.size());
-      profile_cells_.push_back(ProfileCell{key.pid, key.ring, key.path_id, {}});
-      ++cell_count_;
-      return slot.cell;
-    }
-    if (slot.key == key) {
-      return slot.cell;
-    }
-    i = (i + 1) & mask;
-  }
 }
 
 TraceContext* Meter::SetContext(TraceContext* ctx) {
@@ -240,15 +198,29 @@ std::vector<std::pair<std::string, const Distribution*>> Meter::DistributionSnap
   return out;
 }
 
+void Meter::SpellPath(uint32_t id, std::string* out) const {
+  const ProfileNode& node = nodes_[id];
+  if (node.parent != 0) {
+    SpellPath(node.parent, out);
+    out->push_back(';');
+  }
+  out->append(node.name);
+}
+
 const std::map<ProfileKey, ProfileEntry>& Meter::profile() const {
   if (!profile_view_valid_) {
     profile_view_.clear();
-    for (const ProfileCell& cell : profile_cells_) {
-      ProfileEntry& entry =
-          profile_view_[ProfileKey{cell.pid, cell.ring, paths_[cell.path_id].full}];
-      entry.count += cell.entry.count;
-      entry.self += cell.entry.self;
-      entry.total += cell.entry.total;
+    for (uint32_t id = 1; id < nodes_.size(); ++id) {
+      const ProfileNode& node = nodes_[id];
+      if (node.entry.count == 0) {
+        continue;  // No span has closed here since the last Clear().
+      }
+      ProfileKey key{node.pid, node.ring, {}};
+      SpellPath(id, &key.path);
+      ProfileEntry& entry = profile_view_[std::move(key)];
+      entry.count += node.entry.count;
+      entry.self += node.entry.self;
+      entry.total += node.entry.total;
     }
     profile_view_valid_ = true;
   }
@@ -257,8 +229,8 @@ const std::map<ProfileKey, ProfileEntry>& Meter::profile() const {
 
 Cycles Meter::ProfileSelfTotal() const {
   Cycles total = 0;
-  for (const ProfileCell& cell : profile_cells_) {
-    total += cell.entry.self;
+  for (const ProfileNode& node : nodes_) {
+    total += node.entry.self;
   }
   return total;
 }
@@ -272,17 +244,16 @@ void Meter::Clear() {
   for (const std::unique_ptr<Distribution>& dist : dist_cells_) {
     dist->Clear();
   }
-  cell_slots_.clear();
-  cell_count_ = 0;
-  profile_cells_.clear();
+  for (ProfileNode& node : nodes_) {
+    node.entry = ProfileEntry{};
+  }
   profile_view_.clear();
   profile_view_valid_ = true;
   root_context_.stack.clear();
   next_span_id_ = 1;
-  name_contract_violations_ = 0;
 }
 
-TraceSpan::TraceSpan(Meter* meter, const char* name, uint64_t arg)
+TraceSpan::TraceSpan(Meter* meter, StaticName name, uint64_t arg)
     : meter_(meter != nullptr && meter->enabled() ? meter : nullptr), name_(name) {
   if (meter_ == nullptr) {
     return;

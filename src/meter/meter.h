@@ -25,17 +25,23 @@
 // cannot change what any bench measures. When disabled every entry point is
 // a single predictable branch; names are compared/stored only when enabled.
 //
-// Hot-path layout (ROADMAP item 3): names intern to dense MeterIds at first
-// registration — a name-sorted index maps name -> id, values live in flat
-// id-indexed cells — so recording through an id is an array add with no map
-// walk and no string construction. Callers with a per-object name (each
-// SimLock, each gate) intern once and record by id forever after; the
-// string-keyed Count/AddSample stay for cold and dynamic names. The profile
-// interns call paths the same way: each SpanFrame carries the id of its
-// path (parent path + name pointer), so a span close is a hash probe and
-// three adds instead of rebuilding a ';'-joined string. Everything exported
-// still reads from the name-sorted index, so output stays byte-identical
-// with the pre-interning std::map implementation.
+// Name contract: every name the meter keeps by pointer — events, spans,
+// literal counters and distributions, gates — arrives as a StaticName
+// (trace.h), which only a static char array converts to, so the compiler
+// rejects a name that could dangle. Dynamic names intern by contents
+// (InternCounter/InternDistribution) and record by MeterId.
+//
+// Hot-path layout: names intern to dense MeterIds at first registration — a
+// name-sorted index maps name -> id, values live in flat id-indexed cells —
+// so recording through an id is an array add with no map walk and no string
+// construction. Callers with a per-object name (each SimLock, each gate)
+// intern once and record by id forever after. The profile is one table of
+// interned nodes, each a (parent node, name pointer, pid, ring): a span
+// open finds or adds its node with one hash lookup and keeps the id in its
+// SpanFrame, so a span close is three adds by index with no lookup. Exports
+// spell each node's path by walking its parents and read names from the
+// name-sorted indexes, so output stays byte-identical with the string-keyed
+// std::map implementation the interning replaced.
 //
 // Determinism: everything is stamped with the sim clock and stored in
 // deterministic containers, so two same-seed runs export byte-identical
@@ -52,8 +58,6 @@
 #include <string>
 #include <string_view>
 #include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/base/clock.h"
@@ -97,27 +101,23 @@ class Meter {
   Cycles now() const { return clock_->now(); }
 
   // --- Recording (all no-ops while disabled) -------------------------------
-  void Count(std::string_view name, uint64_t delta = 1);
-  void AddSample(std::string_view name, double sample);
-
-  // Static-name fast paths: the pointer (a literal or other static storage —
-  // same lifetime contract as Emit) caches its interned id, so the steady
-  // state is an array add with no name search. A cold pointer falls back to
-  // interning by contents, so a miss is only slow, never wrong.
-  void Count(const char* name, uint64_t delta = 1) {
+  // Static-name paths: the name's pointer caches its interned id, so the
+  // steady state is an array add with no name search. A cold pointer falls
+  // back to interning by contents, so a miss is only slow, never wrong.
+  void Count(StaticName name, uint64_t delta = 1) {
     if (!enabled_) {
       return;
     }
-    uint32_t id = counter_ptr_cache_.Lookup(name);
+    uint32_t id = counter_ptr_cache_.Lookup(name.c_str());
     if (id == StaticNameCache::kMiss) {
-      id = InternCounter(name);
-      counter_ptr_cache_.Insert(name, id);
+      id = InternCounter(name.c_str());
+      counter_ptr_cache_.Insert(name.c_str(), id);
     }
     CounterCell& cell = counter_cells_[id];
     cell.value += delta;
     cell.touched = true;
   }
-  void AddSample(const char* name, double sample) {
+  void AddSample(StaticName name, double sample) {
     if (!enabled_) {
       return;
     }
@@ -143,34 +143,33 @@ class Meter {
     }
     dist_cells_[id]->Add(sample);
   }
-  // Interned-id lookup for a static-storage distribution name (the pointer
-  // is cached — same lifetime contract as Emit). Lets TraceSpan record by id
-  // without each call site holding a MeterId.
-  MeterId DistIdForStatic(const char* name) {
-    uint32_t id = dist_ptr_cache_.Lookup(name);
+  // Interned-id lookup for a static distribution name (the pointer is
+  // cached). Lets TraceSpan record by id without each call site holding a
+  // MeterId.
+  MeterId DistIdForStatic(StaticName name) {
+    uint32_t id = dist_ptr_cache_.Lookup(name.c_str());
     if (id == StaticNameCache::kMiss) {
-      id = InternDistribution(name);
-      dist_ptr_cache_.Insert(name, id);
+      id = InternDistribution(name.c_str());
+      dist_ptr_cache_.Insert(name.c_str(), id);
     }
     return id;
   }
 
-  // `name` must outlive the recorder (a literal or other static storage);
-  // the recorder keeps the pointer, not a copy. With name checking on
-  // (set_name_check), pointers not registered via RegisterStaticName and not
-  // seen before the first Emit are counted in name_contract_violations().
-  void Emit(TraceEventKind kind, const char* name, uint64_t arg = 0);
+  // Records an instant event. The recorder keeps `name`'s pointer, not a
+  // copy; StaticName guarantees it lives for the whole run.
+  void Emit(TraceEventKind kind, StaticName name, uint64_t arg = 0);
 
   // --- Causal spans --------------------------------------------------------
-  // Opens a span on the current context: pushes a frame capturing the
-  // current attribution, emits `kind` (a begin-style event) and returns the
+  // Opens a span on the current context: pushes a frame whose profile node
+  // extends the enclosing frame's node by `name` under the current
+  // attribution, emits `kind` (a begin-style event) and returns the
   // context the frame was pushed on — pass it back to CloseSpan so the close
   // lands on the right stack even if the current context changed in between.
   // Returns null while disabled (CloseSpan(null) is a no-op).
-  TraceContext* OpenSpan(const char* name, TraceEventKind kind, uint64_t arg = 0);
+  TraceContext* OpenSpan(StaticName name, TraceEventKind kind, uint64_t arg = 0);
   // Closes the top span of `ctx`: emits `kind` with arg = elapsed cycles,
-  // charges the elapsed total to the parent frame's child_cycles, and folds
-  // {count, self, total} into the attribution profile. Returns elapsed.
+  // charges the elapsed total to the parent frame's child_cycles, and adds
+  // {count, self, total} into the frame's profile node. Returns elapsed.
   Cycles CloseSpan(TraceContext* ctx, TraceEventKind kind);
 
   // Installs `ctx` as the current context (null reinstalls the kernel root)
@@ -209,9 +208,9 @@ class Meter {
   std::vector<std::pair<std::string, const Distribution*>> DistributionSnapshot() const;
 
   // The attribution profile, key-sorted (pid, ring, path) — deterministic.
-  // Rebuilt lazily from the interned cells; entries whose interned paths
-  // spell the same string merge, so the view is identical to the old
-  // string-keyed accumulation.
+  // Rebuilt lazily from the profile nodes that have a closed span; nodes
+  // whose paths spell the same string at the same (pid, ring) merge into
+  // one row, so the view is identical to a string-keyed accumulation.
   const std::map<ProfileKey, ProfileEntry>& profile() const;
   // Sum of `self` over the whole profile. When one root span encloses an
   // entire measured window (and every nested span closed), this equals that
@@ -224,73 +223,38 @@ class Meter {
   // Open-span depth of the *current* context (1 = one span open).
   uint32_t span_depth() const { return static_cast<uint32_t>(context_->stack.size()); }
 
-  // --- Name lifetime checking (debug aid, off by default) ------------------
-  // The recorder stores `const char*` names by pointer. When checking is on,
-  // Emit/OpenSpan count any name pointer that was not registered static and
-  // was not among the pointers seen while checking was off. Deterministic
-  // (pure pointer-set membership), so tests can assert on the count.
-  void set_name_check(bool on) { name_check_ = on; }
-  void RegisterStaticName(const char* name) { known_names_.insert(name); }
-  uint64_t name_contract_violations() const { return name_contract_violations_; }
-
   // Drops all recorded data (events, counters, profile, span ids); keeps the
-  // enabled flag, interned names (ids stay valid), context registrations,
-  // and process labels. Must not be called while any span is open — open
-  // frames would fold into a cleared profile with a stale parent chain.
+  // enabled flag, interned names and profile nodes (ids stay valid; their
+  // counts drop to zero), context registrations, and process labels. Must
+  // not be called while any span is open: span ids restart at 1, so an open
+  // frame would share its id with a new span in the trace.
   void Clear();
 
  private:
-  // Interned call-path node: `full` is the ';'-joined spelling, kept so the
-  // export view can be rebuilt without walking any span stack.
-  struct PathNode {
-    uint32_t parent = 0;
-    const char* name = "";
-    std::string full;
-  };
-  struct PathKey {
-    uint32_t parent;
-    const char* name;  // Compared by pointer; same text via two pointers
-                       // makes two nodes whose exports merge by spelling.
-    bool operator==(const PathKey& o) const { return parent == o.parent && name == o.name; }
-  };
-  struct PathKeyHash {
-    size_t operator()(const PathKey& k) const {
-      return (reinterpret_cast<uintptr_t>(k.name) >> 3) * 0x9E3779B97F4A7C15ull ^ k.parent;
-    }
-  };
-  struct CellKey {
-    uint64_t pid;
-    uint32_t path_id;
-    uint8_t ring;
-    bool operator==(const CellKey& o) const {
-      return pid == o.pid && path_id == o.path_id && ring == o.ring;
-    }
-  };
-  struct CellKeyHash {
-    size_t operator()(const CellKey& k) const {
-      // Multiplied last so the low bits (the open-address mask) are mixed.
-      uint64_t h = k.pid ^ (static_cast<uint64_t>(k.path_id) * 0x100000001B3ull) ^ k.ring;
-      h *= 0x9E3779B97F4A7C15ull;
-      return static_cast<size_t>(h ^ (h >> 32));
-    }
-  };
   struct CounterCell {
     uint64_t value = 0;
     bool touched = false;  // Ever recorded: gates export visibility.
   };
-  struct ProfileCell {
-    uint64_t pid = 0;
+  // One call path within one attribution: the parent node extended by a
+  // span name (compared by pointer — the same text via two pointers makes
+  // two nodes, which profile() merges by spelling). Node 0 is the root that
+  // top-level spans hang from; no span ever closes into it.
+  struct ProfileNode {
+    uint32_t parent = 0;
     uint8_t ring = 0;
-    uint32_t path_id = 0;
+    uint64_t pid = 0;
+    const char* name = "";
     ProfileEntry entry;
   };
 
-  void CheckName(const char* name);
-  // Interns the path `parent` extended by span name `name`.
-  uint32_t InternPath(uint32_t parent, const char* name);
-  // Find-or-create the profile cell for `key` (open-addressed; see
-  // cell_slots_).
-  uint32_t ProfileCellFor(const CellKey& key);
+  // Find-or-add the node for span `name` under `parent`, attributed to the
+  // current attribution.
+  uint32_t InternNode(uint32_t parent, const char* name);
+  // Re-sizes node_slots_ to `size` (a power of two) and re-inserts every
+  // node.
+  void RehashNodes(size_t size);
+  // Appends node `id`'s ';'-joined path to `out`.
+  void SpellPath(uint32_t id, std::string* out) const;
 
   const SimClock* clock_;
   bool enabled_ = true;
@@ -305,19 +269,11 @@ class Meter {
   std::vector<std::unique_ptr<Distribution>> dist_cells_;       // Stable ptrs.
   StaticNameCache dist_ptr_cache_;  // Static-name pointer -> distribution id.
   StaticNameCache counter_ptr_cache_;  // Static-name pointer -> counter id.
-  std::vector<PathNode> paths_;  // [0] is the empty root path.
-  std::unordered_map<PathKey, uint32_t, PathKeyHash> path_ids_;
-  // Open-addressed CellKey -> profile cell index: power-of-two, linear
-  // probing, grown under 70% load. Runs on every span close, so no
-  // node-based map.
-  struct CellSlot {
-    CellKey key{};
-    uint32_t cell = kFreeCell;  // kFreeCell marks an empty slot.
-  };
-  static constexpr uint32_t kFreeCell = 0xffffffffu;
-  std::vector<CellSlot> cell_slots_;
-  size_t cell_count_ = 0;
-  std::vector<ProfileCell> profile_cells_;
+  std::vector<ProfileNode> nodes_;  // Id-indexed; [0] is the root.
+  // Open-addressed node key -> node id: power-of-two, linear probing, grown
+  // under 70% load. 0 marks an empty slot (the root is never looked up).
+  // Runs on every span open, so no node-based map.
+  std::vector<uint32_t> node_slots_;
   // mx:hot-path:end
 
   TraceContext root_context_{0, 0};
@@ -327,13 +283,9 @@ class Meter {
   uint64_t next_span_id_ = 1;
   std::map<uint64_t, std::string> process_labels_{{0, "kernel"}};
 
-  // Export-side view of the profile cells, rebuilt on demand (cold).
+  // Export-side view of the profile nodes, rebuilt on demand (cold).
   mutable std::map<ProfileKey, ProfileEntry> profile_view_;
   mutable bool profile_view_valid_ = true;
-
-  bool name_check_ = false;
-  std::unordered_set<const char*> known_names_;
-  uint64_t name_contract_violations_ = 0;
 };
 
 // RAII helper for nested durations: opens a causal span (kSpanBegin) on
@@ -344,7 +296,7 @@ class Meter {
 // on, so it closes correctly even if the dispatcher switched contexts.
 class TraceSpan {
  public:
-  TraceSpan(Meter* meter, const char* name, uint64_t arg = 0);
+  TraceSpan(Meter* meter, StaticName name, uint64_t arg = 0);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
@@ -353,7 +305,7 @@ class TraceSpan {
  private:
   Meter* meter_;  // Null when the meter was disabled at construction.
   TraceContext* ctx_ = nullptr;
-  const char* name_;
+  StaticName name_;
 };
 
 }  // namespace multics

@@ -9,9 +9,9 @@
 // with the deterministic sim clock, so two same-seed runs produce
 // byte-identical traces.
 //
-// Events carry a `const char*` name: call sites pass string literals (or
-// otherwise static strings), never temporaries, so recording an event is a
-// handful of stores and the recorder never allocates after construction.
+// Events carry a name with static storage (StaticName), never a temporary,
+// so recording an event is a handful of stores and the recorder never
+// allocates after construction.
 
 #ifndef SRC_METER_TRACE_H_
 #define SRC_METER_TRACE_H_
@@ -47,6 +47,22 @@ enum class TraceEventKind : uint8_t {
 
 inline constexpr size_t kTraceEventKindCount = static_cast<size_t>(TraceEventKind::kSpanEnd) + 1;
 
+// A name the meter may keep by pointer for the whole run: the flight
+// recorder stores it and the meter's lookaside caches key on it. The
+// constructor is consteval and takes only a char array, so the name must be
+// a string literal or another array with static storage; a `const char*`
+// variable, a std::string, or a stack buffer does not compile.
+class StaticName {
+ public:
+  template <size_t N>
+  consteval StaticName(const char (&name)[N]) : name_(name) {}
+
+  constexpr const char* c_str() const { return name_; }
+
+ private:
+  const char* name_;
+};
+
 const char* TraceEventKindName(TraceEventKind kind);
 
 struct TraceEvent {
@@ -54,11 +70,8 @@ struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kSpanBegin;
   uint32_t depth = 0;   // Causal span depth of the current context when recorded.
   // Lifetime contract: `name` must outlive the recorder — the ring stores the
-  // pointer, never a copy, so call sites must pass string literals or other
-  // storage that lives for the whole run (gate name tables qualify; stack
-  // buffers and std::string::c_str() of temporaries do not). The Meter keeps
-  // a debug check (name_contract_violations) that counts pointers it has not
-  // seen registered as static; see Meter::Emit.
+  // pointer, never a copy. The Meter fills it only from a StaticName, so the
+  // compiler enforces the contract at every recording call site.
   const char* name = "";
   uint64_t arg = 0;     // Event-specific payload (segno, pid, cycles, ...).
   // Causal attribution, filled in by the Meter at record time:

@@ -35,7 +35,6 @@ class NetworkAttachment {
   // Opens a connection to `remote` with the supplied input buffer.
   Result<ConnId> Open(const std::string& remote, std::unique_ptr<InputBuffer> buffer);
   Status Close(ConnId conn);
-  bool IsOpen(ConnId conn) const { return connections_.contains(conn); }
 
   // Local side.
   Status Send(ConnId conn, const std::string& data);

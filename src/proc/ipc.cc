@@ -94,13 +94,4 @@ Status EventChannelTable::SetWaiter(ChannelId id, ProcessId waiter) {
   return Status::kOk;
 }
 
-Status EventChannelTable::ClearWaiter(ChannelId id) {
-  Channel* channel = Find(id);
-  if (channel == nullptr) {
-    return Status::kNoSuchChannel;
-  }
-  channel->waiter = kNoProcess;
-  return Status::kOk;
-}
-
 }  // namespace multics

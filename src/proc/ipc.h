@@ -55,9 +55,8 @@ class EventChannelTable {
   bool HasEvents(ChannelId id) const;
   Result<uint64_t> QueueLength(ChannelId id) const;
 
-  // Registers/clears the single blocked waiter.
+  // Registers the single blocked waiter.
   Status SetWaiter(ChannelId id, ProcessId waiter);
-  Status ClearWaiter(ChannelId id);
 
   uint64_t total_wakeups() const { return total_wakeups_; }
 

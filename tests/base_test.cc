@@ -98,6 +98,31 @@ TEST(RngTest, ZipfSkewsTowardLowRanks) {
   EXPECT_GT(low, kSamples / 2);
 }
 
+// Pins NextZipf's draws and the generator state they leave behind, so a
+// rewrite of the rejection loop cannot silently change any workload.
+TEST(RngTest, ZipfDrawSequenceIsPinned) {
+  struct Case {
+    uint64_t n;
+    double s;
+    std::vector<uint64_t> draws;
+  };
+  const std::vector<Case> cases = {
+      {64, 1.1, {13, 19, 8, 0, 0, 2, 0, 0, 0, 1, 2, 0}},
+      {1, 1.1, {0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {4096, 1.1, {235, 10, 3, 178, 3, 0, 0, 343, 215, 6, 19, 0}},
+      {100, 1.2, {1, 1, 3, 0, 10, 80, 0, 1, 32, 1, 81, 4}},
+  };
+  Rng rng(20261017);
+  for (const Case& c : cases) {
+    std::vector<uint64_t> got;
+    for (size_t i = 0; i < c.draws.size(); ++i) {
+      got.push_back(rng.NextZipf(c.n, c.s));
+    }
+    EXPECT_EQ(got, c.draws) << "n=" << c.n << " s=" << c.s;
+  }
+  EXPECT_EQ(rng.Next(), 0xdeafe39faf604f33ull);
+}
+
 TEST(RngTest, BoolProbabilityEdges) {
   Rng rng(3);
   EXPECT_FALSE(rng.NextBool(0.0));

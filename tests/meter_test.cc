@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/init/bootstrap.h"
 #include "src/meter/export.h"
@@ -323,24 +325,175 @@ TEST(MeterTest, ControlCharactersInNamesAreEscapedInChromeTrace) {
   }
 }
 
-TEST(MeterTest, NameContractCheckCountsDynamicNames) {
+// The name contract is checked by the compiler: only a char array converts
+// to StaticName, so a `const char*` variable or a std::string cannot name an
+// event, span, literal counter or gate. A stack char[] is rejected as well,
+// because the consteval constructor cannot yield a pointer to an automatic
+// object; that case is not expressible as a trait.
+static_assert(std::is_convertible_v<const char (&)[5], StaticName>);
+static_assert(!std::is_convertible_v<const char*, StaticName>);
+static_assert(!std::is_convertible_v<std::string, StaticName>);
+
+template <typename Name>
+concept EmitAccepts = requires(Meter& meter, Name name) {
+  meter.Emit(TraceEventKind::kDispatch, name);
+};
+template <typename Name>
+concept OpenSpanAccepts = requires(Meter& meter, Name name) {
+  meter.OpenSpan(name, TraceEventKind::kSpanBegin);
+};
+template <typename Name>
+concept CountAccepts = requires(Meter& meter, Name name) { meter.Count(name); };
+template <typename Name>
+concept AddSampleAccepts = requires(Meter& meter, Name name) { meter.AddSample(name, 1.0); };
+
+static_assert(EmitAccepts<StaticName> && OpenSpanAccepts<StaticName> &&
+              CountAccepts<StaticName> && AddSampleAccepts<StaticName>);
+static_assert(!EmitAccepts<const char*> && !EmitAccepts<std::string>);
+static_assert(!OpenSpanAccepts<const char*> && !OpenSpanAccepts<std::string>);
+static_assert(!CountAccepts<const char*> && !CountAccepts<std::string>);
+static_assert(!AddSampleAccepts<const char*> && !AddSampleAccepts<std::string>);
+static_assert(!std::is_constructible_v<TraceSpan, Meter*, const char*>);
+static_assert(!std::is_constructible_v<TraceSpan, Meter*, std::string>);
+static_assert(!std::is_constructible_v<GateSpan, Kernel*, Process&, const char*>);
+static_assert(!std::is_constructible_v<GateSpan, Kernel*, Process&, std::string>);
+
+TEST(MeterTest, SameSpellingFromTwoArraysMergesIntoOneRow) {
   SimClock clock;
-  Meter meter(&clock, /*recorder_capacity=*/16);
-  static const char kStatic[] = "static_name";
-  meter.Emit(TraceEventKind::kDispatch, kStatic);  // Learned while checking is off.
+  Meter meter(&clock, /*recorder_capacity=*/64);
+  static const char kFirst[] = "work";
+  static const char kSecond[] = "work";
+  ASSERT_NE(static_cast<const void*>(kFirst), static_cast<const void*>(kSecond));
+  {
+    TraceSpan outer(&meter, "outer");
+    {
+      TraceSpan first(&meter, kFirst);
+      clock.Advance(3);
+    }
+    {
+      TraceSpan second(&meter, kSecond);
+      clock.Advance(4);
+    }
+  }
+  const auto& profile = meter.profile();
+  ASSERT_EQ(profile.size(), 2u);
+  auto it = profile.find(ProfileKey{0, 0, "outer;work"});
+  ASSERT_NE(it, profile.end());
+  EXPECT_EQ(it->second.count, 2u);
+  EXPECT_EQ(it->second.self, 7u);
+  EXPECT_EQ(it->second.total, 7u);
+}
 
-  meter.set_name_check(true);
-  meter.Emit(TraceEventKind::kDispatch, kStatic);
-  EXPECT_EQ(meter.name_contract_violations(), 0u);
+TEST(MeterTest, OpenSpanIsAbsentFromProfile) {
+  SimClock clock;
+  Meter meter(&clock, /*recorder_capacity=*/64);
+  TraceContext* outer = meter.OpenSpan("outer", TraceEventKind::kSpanBegin);
+  {
+    TraceSpan inner(&meter, "inner");
+    clock.Advance(5);
+  }
+  EXPECT_EQ(meter.profile().size(), 1u);
+  EXPECT_TRUE(meter.profile().contains(ProfileKey{0, 0, "outer;inner"}));
+  EXPECT_FALSE(meter.profile().contains(ProfileKey{0, 0, "outer"}));
+  EXPECT_EQ(meter.ProfileSelfTotal(), 5u);
 
-  const std::string dynamic = std::string("dyn") + "amic";
-  meter.Emit(TraceEventKind::kDispatch, dynamic.c_str());
-  EXPECT_EQ(meter.name_contract_violations(), 1u);
+  clock.Advance(2);
+  meter.CloseSpan(outer, TraceEventKind::kSpanEnd);
+  auto it = meter.profile().find(ProfileKey{0, 0, "outer"});
+  ASSERT_NE(it, meter.profile().end());
+  EXPECT_EQ(it->second.self, 2u);
+  EXPECT_EQ(it->second.total, 7u);
+}
 
-  // Registering the pointer blesses it.
-  meter.RegisterStaticName(dynamic.c_str());
-  meter.Emit(TraceEventKind::kDispatch, dynamic.c_str());
-  EXPECT_EQ(meter.name_contract_violations(), 1u);
+TEST(MeterTest, AttributionOverrideGetsItsOwnRow) {
+  SimClock clock;
+  Meter meter(&clock, /*recorder_capacity=*/64);
+  TraceContext process(5, 4);
+  TraceContext* before = meter.SetContext(&process);
+  TraceContext* outer = meter.OpenSpan("work", TraceEventKind::kSpanBegin);
+  clock.Advance(2);
+  // What GateSpan does: stay on the caller's span stack but charge another
+  // pid at ring 0. The attribution moves on before this span closes, as it
+  // does when the dispatcher switches contexts under an open span.
+  const Attribution saved = meter.SetAttribution(Attribution{9, 0});
+  TraceContext* other = meter.OpenSpan("work", TraceEventKind::kGateEnter);
+  clock.Advance(3);
+  meter.SetAttribution(saved);
+  meter.CloseSpan(other, TraceEventKind::kGateExit);
+  // The same name, parent and ring under the caller's own pid.
+  meter.SetAttribution(Attribution{5, 0});
+  TraceContext* own = meter.OpenSpan("work", TraceEventKind::kGateEnter);
+  clock.Advance(1);
+  meter.CloseSpan(own, TraceEventKind::kGateExit);
+  meter.SetAttribution(saved);
+  meter.CloseSpan(outer, TraceEventKind::kSpanEnd);
+  meter.SetContext(before);
+
+  const auto& profile = meter.profile();
+  ASSERT_EQ(profile.size(), 3u);
+  auto other_row = profile.find(ProfileKey{9, 0, "work;work"});
+  ASSERT_NE(other_row, profile.end());
+  EXPECT_EQ(other_row->second.count, 1u);
+  EXPECT_EQ(other_row->second.total, 3u);
+  auto own_row = profile.find(ProfileKey{5, 0, "work;work"});
+  ASSERT_NE(own_row, profile.end());
+  EXPECT_EQ(own_row->second.count, 1u);
+  EXPECT_EQ(own_row->second.total, 1u);
+  auto outer_row = profile.find(ProfileKey{5, 4, "work"});
+  ASSERT_NE(outer_row, profile.end());
+  EXPECT_EQ(outer_row->second.self, 2u);
+  EXPECT_EQ(outer_row->second.total, 6u);
+
+  // Each close event carries the pid its span opened with.
+  std::vector<uint64_t> close_pids;
+  for (const TraceEvent& ev : meter.recorder().Snapshot()) {
+    if (ev.kind == TraceEventKind::kGateExit || ev.kind == TraceEventKind::kSpanEnd) {
+      close_pids.push_back(ev.pid);
+    }
+  }
+  EXPECT_EQ(close_pids, (std::vector<uint64_t>{9, 5, 5}));
+}
+
+TEST(MeterTest, ClearThenSameSpansMatchesAFreshMeter) {
+  auto run = [](Meter& meter, SimClock& clock) {
+    TraceContext process(3, 4);
+    TraceContext* before = meter.SetContext(&process);
+    {
+      TraceSpan a(&meter, "a");
+      clock.Advance(2);
+      TraceSpan b(&meter, "b");
+      clock.Advance(3);
+    }
+    meter.SetAttribution(Attribution{7, 0});
+    {
+      TraceSpan c(&meter, "c");
+      clock.Advance(4);
+    }
+    meter.SetContext(before);
+    meter.Count("runs");
+  };
+
+  SimClock reused_clock;
+  Meter reused(&reused_clock, /*recorder_capacity=*/64);
+  run(reused, reused_clock);
+  {
+    TraceSpan gone(&reused, "only_before_clear");
+    reused_clock.Advance(1);
+  }
+  reused.Clear();
+  EXPECT_TRUE(reused.profile().empty());
+  EXPECT_EQ(reused.ProfileSelfTotal(), 0u);
+  run(reused, reused_clock);
+
+  SimClock fresh_clock;
+  Meter fresh(&fresh_clock, /*recorder_capacity=*/64);
+  run(fresh, fresh_clock);
+
+  EXPECT_EQ(reused.profile().size(), 3u);
+  EXPECT_FALSE(reused.profile().contains(ProfileKey{0, 0, "only_before_clear"}));
+  EXPECT_EQ(reused.ProfileSelfTotal(), fresh.ProfileSelfTotal());
+  EXPECT_EQ(FoldedStackProfile(reused), FoldedStackProfile(fresh));
+  EXPECT_EQ(MeterReport(reused), MeterReport(fresh));
 }
 
 }  // namespace
