@@ -166,6 +166,10 @@ Status SegmentStore::DeactivateNow(Uid uid) {
       branch->disk_home[p] = seg->location[p].addr;
     }
   }
+  return RemoveFromAst(uid);
+}
+
+Status SegmentStore::RemoveFromAst(Uid uid) {
   MX_RETURN_IF_ERROR(ast_->Deactivate(uid));
   Entry& entry = entries_[uid];
   if (entry.active_unwired && entry.refs == 0) {
@@ -173,33 +177,6 @@ Status SegmentStore::DeactivateNow(Uid uid) {
   }
   entry.active_unwired = false;
   return Status::kOk;
-}
-
-Status SegmentStore::FreePageStorage(ActiveSegment* seg, PageNo page) {
-  PageLoc& loc = seg->location[page];
-  switch (loc.level) {
-    case PageLevel::kZero:
-      return Status::kOk;
-    case PageLevel::kCore: {
-      // Shrinking past a resident page: flush-style release of the frame.
-      PageTableEntry& pte = seg->page_table.entries[page];
-      pte.present = false;
-      // Page control owns the core map; route the release through a flush of
-      // just this page by marking it zero and letting FlushSegment skip it.
-      // Simpler and correct here: the caller must flush before shrinking.
-      return Status::kFailedPrecondition;
-    }
-    case PageLevel::kBulk:
-      return Status::kFailedPrecondition;
-    case PageLevel::kDisk: {
-      Status st = disk_->Free(loc.addr);
-      loc = PageLoc{PageLevel::kZero, kInvalidDevAddr};
-      return st;
-    }
-    case PageLevel::kInTransit:
-      return Status::kFailedPrecondition;
-  }
-  return Status::kInternal;
 }
 
 Status SegmentStore::SetLength(Uid uid, uint32_t pages) {
@@ -222,18 +199,15 @@ Status SegmentStore::SetLength(Uid uid, uint32_t pages) {
       QuotaCharge(branch.parent, static_cast<int64_t>(pages) - static_cast<int64_t>(old_pages)));
 
   if (pages < old_pages) {
-    // Shrink: truncated pages must not be resident above disk. Flush first
-    // when the segment is active.
+    // Shrink: nobody can read the truncated pages again, so an active
+    // segment's tail is discarded wherever it lives, with no write-back.
     if (seg != nullptr) {
       CHECK(page_control_ != nullptr);
-      Status st = page_control_->FlushSegment(seg);
+      Status st = page_control_->DiscardPages(seg, pages);
       if (st != Status::kOk) {
         (void)QuotaCharge(branch.parent,
                           static_cast<int64_t>(old_pages) - static_cast<int64_t>(pages));
         return st;
-      }
-      for (PageNo p = pages; p < old_pages; ++p) {
-        (void)FreePageStorage(seg, p);
       }
       seg->Resize(pages);
     } else {
@@ -265,12 +239,21 @@ Status SegmentStore::Delete(Uid uid) {
   if (RefCount(uid) > 0) {
     return Status::kFailedPrecondition;  // Still initiated somewhere.
   }
-  if (ast_->Find(uid) != nullptr) {
-    MX_RETURN_IF_ERROR(DeactivateNow(uid));
-  }
-  for (DevAddr addr : branch->disk_home) {
-    if (addr != kInvalidDevAddr) {
-      (void)disk_->Free(addr);
+  if (ActiveSegment* seg = ast_->Find(uid); seg != nullptr) {
+    // Multics deleted a segment by truncating it: once no SDW can reach the
+    // page table, page control discards every page with no write-back.
+    LockGuard ast(machine_->locks().Ast());
+    if (deactivate_hook_) {
+      deactivate_hook_(uid);
+    }
+    CHECK(page_control_ != nullptr);
+    MX_RETURN_IF_ERROR(page_control_->DiscardPages(seg, 0));
+    MX_RETURN_IF_ERROR(RemoveFromAst(uid));
+  } else {
+    for (DevAddr addr : branch->disk_home) {
+      if (addr != kInvalidDevAddr) {
+        (void)disk_->Free(addr);
+      }
     }
   }
   (void)QuotaCharge(branch->parent, -static_cast<int64_t>(branch->pages));

@@ -30,7 +30,8 @@ class SegmentStore {
   // Creates a branch (and nothing else: length 0, no storage yet).
   Result<Uid> Create(const SegmentAttributes& attrs, bool is_directory, Uid parent);
 
-  // Destroys the segment: deactivates if needed, frees disk pages, uncharges
+  // Destroys the segment: discards an active segment's pages (no
+  // write-back) and drops it from the AST, frees its disk pages, uncharges
   // quota, removes the branch.
   Status Delete(Uid uid);
 
@@ -57,7 +58,8 @@ class SegmentStore {
   Status Deactivate(Uid uid);
 
   // Grows or shrinks the segment, charging / refunding quota against the
-  // nearest ancestor directory that has one.
+  // nearest ancestor directory that has one. Shrinking an active segment
+  // discards its tail; the pages below the cut stay where they are.
   Status SetLength(Uid uid, uint32_t pages);
 
   // Flushes and deactivates every zero-reference active segment (shutdown).
@@ -86,8 +88,8 @@ class SegmentStore {
  private:
   Status QuotaCharge(Uid parent, int64_t delta_pages);
   Status DeactivateNow(Uid uid);  // Flush + drop from AST + refresh disk_home.
+  Status RemoveFromAst(Uid uid);  // Drop a segment with no page in core or on bulk.
   Status EvictOneInactive();      // Make AST room.
-  Status FreePageStorage(ActiveSegment* seg, PageNo page);
 
   // Everything the store keeps per uid. Uids are handed out densely from 1,
   // so the table is indexed by uid directly.

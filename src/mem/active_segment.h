@@ -1,8 +1,10 @@
 // Active segments: the page-control view of a segment while it is usable in
 // some address space. An ActiveSegment owns the hardware page table and
-// tracks where each page currently lives in the hierarchy. The invariant is
-// move semantics: exactly one copy of each page exists, in core, on the bulk
-// store, on disk, or nowhere yet (zero page).
+// tracks where each page currently lives in the hierarchy: in core, on the
+// bulk store, on disk, or nowhere yet (zero page). Each page has one live
+// copy. A core page fetched from disk also keeps that disk record as its
+// home: the record stays allocated, having lent its block to the frame, so
+// the page can go back with no write while its modified bit is clear.
 //
 // This is the simulation's active segment table (AST) from Multics segment
 // control; the file-system branch (src/fs/branch.h) holds the permanent
@@ -23,7 +25,8 @@ namespace multics {
 
 enum class PageLevel : uint8_t {
   kZero,       // Never written: materializes as a page of zeros on first use.
-  kCore,       // In primary memory (frame number in PageTableEntry).
+  kCore,       // In primary memory (frame number in PageTableEntry); `addr`
+               // is its disk home, or kInvalidDevAddr if it has none.
   kBulk,       // On the bulk store at `addr`.
   kDisk,       // On disk at `addr`.
   kInTransit,  // Being moved asynchronously by a daemon; faulters must wait.
@@ -37,7 +40,9 @@ struct PageLoc {
   // While kInTransit: which asynchronous transfer owns the page. Completions
   // match on it, never on `addr` — the bulk store and the disk both hand out
   // addresses from 0, so an address alone cannot tell a stale transfer on
-  // one device from a live one on the other.
+  // one device from a live one on the other. In transit `addr` is where a
+  // cancelled transfer leaves the page: the disk home of an evicting core
+  // page, or the bulk slot of a bulk->disk move.
   uint64_t transfer = 0;
 };
 
@@ -68,8 +73,9 @@ class ActiveSegmentTable {
   Result<ActiveSegment*> Activate(uint64_t uid, uint32_t pages,
                                   const std::vector<DevAddr>& disk_home);
 
-  // Removes the entry. The caller must already have flushed the pages
-  // (page control's FlushSegment) so nothing remains in core or on bulk.
+  // Removes the entry. The caller must already have flushed or discarded
+  // the pages (page control's FlushSegment or DiscardPages) so nothing
+  // remains in core or on bulk.
   Status Deactivate(uint64_t uid);
 
   ActiveSegment* Find(uint64_t uid);

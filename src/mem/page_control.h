@@ -55,10 +55,18 @@ class PageControl {
   // kernel's fault handler in the context of the faulting process.
   virtual Status EnsureResident(ActiveSegment* seg, PageNo page, AccessMode mode) = 0;
 
-  // Writes every page of `seg` home to disk (updating seg->location with
-  // disk addresses) and releases its core frames and bulk slots. Used at
-  // segment deactivation and shutdown.
+  // Sends every page of `seg` home to disk (updating seg->location with
+  // disk addresses) and releases its core frames and bulk slots. A clean
+  // core page hands its block back to the disk record it was fetched from
+  // with no transfer; a modified one is written into that record, and a
+  // page with no record yet into a new one. Used at segment deactivation
+  // and shutdown.
   virtual Status FlushSegment(ActiveSegment* seg) = 0;
+
+  // Releases pages [first, seg->pages) from core, the bulk store and disk
+  // with no transfer: they become zero pages. Nobody can read a discarded
+  // page again, so nothing is written. Used to delete and truncate.
+  virtual Status DiscardPages(ActiveSegment* seg, PageNo first) = 0;
 
   // Lets background machinery (daemons) make progress during idle time.
   virtual void PumpIdle() {}

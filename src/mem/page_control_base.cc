@@ -54,6 +54,7 @@ bool PageControlBase::PopBulkResident(ActiveSegment** seg, PageNo* page) {
 Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, FrameIndex frame) {
   MX_HOST_SPAN(kPageIo);
   PageLoc& loc = seg->location[page];
+  DevAddr home = kInvalidDevAddr;
   switch (loc.level) {
     case PageLevel::kZero: {
       machine_->core().ZeroPage(frame);
@@ -74,9 +75,9 @@ Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, Fram
     }
     case PageLevel::kDisk: {
       PageBlock block;
-      MX_RETURN_IF_ERROR(ReadSyncUnlocked(disk_, loc.addr, PagingDevice::ReadMode::kMove, &block));
+      MX_RETURN_IF_ERROR(ReadSyncUnlocked(disk_, loc.addr, PagingDevice::ReadMode::kLend, &block));
       machine_->core().PutPage(frame, std::move(block));
-      MX_RETURN_IF_ERROR(disk_->Free(loc.addr));
+      home = loc.addr;
       ++metrics_.fetches_from_disk;
       machine_->meter().Emit(TraceEventKind::kPageFetch, "fetch_disk", page);
       break;
@@ -87,7 +88,7 @@ Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, Fram
   }
 
   core_map_->Bind(frame, seg, page, seg->wired);
-  loc = PageLoc{PageLevel::kCore, kInvalidDevAddr};
+  loc = PageLoc{PageLevel::kCore, home};
   PageTableEntry& pte = seg->page_table.entries[page];
   pte.present = true;
   pte.frame = frame;
@@ -139,13 +140,15 @@ Status PageControlBase::EvictCorePageSync(FrameIndex frame, bool* cascaded) {
     return write_st;
   }
 
+  // The bulk copy is now the page's only one; its disk home goes.
+  const DevAddr home = seg->location[page].addr;
   seg->location[page] = PageLoc{PageLevel::kBulk, addr};
   AddBulkResident(seg, page);
   policy_->NotifyFreed(frame);
   core_map_->Release(frame);
   ++metrics_.core_evictions;
   machine_->meter().Emit(TraceEventKind::kPageEvictDone, "evict_sync", page);
-  return Status::kOk;
+  return FreeHome(home);
 }
 
 Status PageControlBase::MoveOldestBulkPageToDiskSync() {
@@ -182,6 +185,10 @@ Status PageControlBase::MoveOldestBulkPageToDiskSync() {
   return Status::kOk;
 }
 
+Status PageControlBase::FreeHome(DevAddr home) {
+  return home == kInvalidDevAddr ? Status::kOk : disk_->Free(home);
+}
+
 Status PageControlBase::FlushPageSync(ActiveSegment* seg, PageNo page) {
   PageLoc& loc = seg->location[page];
   switch (loc.level) {
@@ -190,14 +197,23 @@ Status PageControlBase::FlushPageSync(ActiveSegment* seg, PageNo page) {
       return Status::kOk;
     case PageLevel::kCore: {
       PageTableEntry& pte = seg->page_table.entries[page];
-      MX_ASSIGN_OR_RETURN(DevAddr addr, disk_->Allocate());
+      const bool has_home = loc.addr != kInvalidDevAddr;
+      DevAddr addr = loc.addr;
+      if (!has_home) {
+        MX_ASSIGN_OR_RETURN(addr, disk_->Allocate());
+      }
+      // A clean page hands its block back to its home with no transfer; a
+      // modified one is written into its home, or into a new record.
       PageBlock block = machine_->core().TakePage(pte.frame);
-      Status write_st = WriteSyncUnlocked(disk_, addr, &block);
-      if (write_st != Status::kOk) {
-        // The write handed the page back: the frame keeps the only copy.
+      Status st = has_home && !pte.modified ? disk_->TakeBack(addr, &block)
+                                            : WriteSyncUnlocked(disk_, addr, &block);
+      if (st != Status::kOk) {
+        // The page was handed back: the frame keeps the only copy.
         machine_->core().PutPage(pte.frame, std::move(block));
-        (void)disk_->Free(addr);
-        return write_st;
+        if (!has_home) {
+          (void)disk_->Free(addr);
+        }
+        return st;
       }
       pte.present = false;
       policy_->NotifyFreed(pte.frame);
@@ -234,10 +250,41 @@ Status PageControlBase::FlushSegment(ActiveSegment* seg) {
     MX_RETURN_IF_ERROR(FlushPageSync(seg, page));
   }
   // Purge any stale residency entries for this segment.
-  bulk_residents_.erase(
-      std::remove_if(bulk_residents_.begin(), bulk_residents_.end(),
-                     [seg](const auto& entry) { return entry.first == seg; }),
-      bulk_residents_.end());
+  std::erase_if(bulk_residents_, [seg](const auto& entry) { return entry.first == seg; });
+  return Status::kOk;
+}
+
+Status PageControlBase::DiscardPages(ActiveSegment* seg, PageNo first) {
+  LockGuard page_table(machine_->locks().PageTable());
+  for (PageNo page = first; page < seg->pages; ++page) {
+    PageLoc& loc = seg->location[page];
+    switch (loc.level) {
+      case PageLevel::kZero:
+        break;
+      case PageLevel::kCore: {
+        PageTableEntry& pte = seg->page_table.entries[page];
+        pte.present = false;
+        (void)machine_->core().TakePage(pte.frame);  // The words die with the page.
+        policy_->NotifyFreed(pte.frame);
+        core_map_->Release(pte.frame);
+        MX_RETURN_IF_ERROR(FreeHome(loc.addr));
+        break;
+      }
+      case PageLevel::kBulk:
+        MX_RETURN_IF_ERROR(bulk_->Free(loc.addr));
+        break;
+      case PageLevel::kDisk:
+        MX_RETURN_IF_ERROR(disk_->Free(loc.addr));
+        break;
+      case PageLevel::kInTransit:
+        // Callers (the parallel control) drain in-flight transfers first.
+        return Status::kFailedPrecondition;
+    }
+    loc = PageLoc{};
+  }
+  std::erase_if(bulk_residents_, [seg, first](const auto& entry) {
+    return entry.first == seg && entry.second >= first;
+  });
   return Status::kOk;
 }
 

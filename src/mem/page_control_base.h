@@ -1,12 +1,17 @@
 // Shared machinery for the two page-control designs: synchronous page moves
-// between hierarchy levels, bulk-store residency tracking, and flush.
+// between hierarchy levels, bulk-store residency tracking, flush and
+// discard.
 //
 // Pages travel as owned blocks (PageBlock). A transfer that releases its
-// source moves the block: eviction core->bulk, flush core->disk, and every
-// fetch into core. A transfer whose source must survive until the
-// destination commits copies it exactly once: bulk->disk, whose bulk copy
-// stays authoritative until the disk write lands. A failed write hands its
-// block back to where it came from, so no device fault loses a page.
+// source moves the block: eviction core->bulk, flush core->disk, and the
+// fetch from bulk. The fetch from disk lends the block: the disk record
+// stays allocated as the page's home (PageLoc{kCore, home}), so a clean
+// page goes home with no write and a modified one is rewritten in place;
+// eviction to the bulk store or a discard frees the home. A transfer whose
+// source must survive until the destination commits copies it exactly
+// once: bulk->disk, whose bulk copy stays authoritative until the disk
+// write lands. A failed write hands its block back to where it came from,
+// so no device fault loses a page.
 
 #ifndef SRC_MEM_PAGE_CONTROL_BASE_H_
 #define SRC_MEM_PAGE_CONTROL_BASE_H_
@@ -25,6 +30,7 @@ class PageControlBase : public PageControl {
                   ReplacementPolicy* policy);
 
   Status FlushSegment(ActiveSegment* seg) override;
+  Status DiscardPages(ActiveSegment* seg, PageNo first) override;
 
   CoreMap* core_map() const { return core_map_; }
   PagingDevice* bulk() const { return bulk_; }
@@ -45,8 +51,11 @@ class PageControlBase : public PageControl {
   // Moves the oldest bulk-resident page to disk, synchronously.
   Status MoveOldestBulkPageToDiskSync();
 
-  // Writes one page home to disk from wherever it is (sync).
+  // Sends one page home to disk from wherever it is (sync).
   Status FlushPageSync(ActiveSegment* seg, PageNo page);
+
+  // Frees the disk home a core page keeps, if it has one.
+  Status FreeHome(DevAddr home);
 
   void AddBulkResident(ActiveSegment* seg, PageNo page);
   void RemoveBulkResident(ActiveSegment* seg, PageNo page);

@@ -56,10 +56,10 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
       FrameInfo& fi = core_map_->info_mutable(pte.frame);
       if (!fi.free && fi.owner == seg && fi.page == page && fi.evicting) {
         // The free-core daemon is evicting this very page: the data has not
-        // actually left core. Reclaim the frame; the in-flight write notices
-        // the cancellation and frees its slot.
+        // actually left core. Reclaim the frame, and its disk home; the
+        // in-flight write notices the cancellation and frees its slot.
         fi.evicting = false;
-        seg->location[page] = PageLoc{PageLevel::kCore, kInvalidDevAddr};
+        seg->location[page] = PageLoc{PageLevel::kCore, seg->location[page].addr};
         pte.present = true;
         pte.used = true;
         ++metrics_.reclaims;
@@ -102,6 +102,7 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
 
     // Initiate the one transfer this fault actually needs.
     PageLoc& loc = seg->location[page];
+    DevAddr home = kInvalidDevAddr;
     switch (loc.level) {
       case PageLevel::kZero: {
         machine_->core().ZeroPage(frame.value());
@@ -110,8 +111,12 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
       }
       case PageLevel::kBulk:
       case PageLevel::kDisk: {
+        // The bulk slot is freed once the page is in core; the disk record
+        // stays allocated as the page's home and lends its block.
         const bool from_bulk = loc.level == PageLevel::kBulk;
-        Status fetch_st = FetchUrgent(from_bulk ? bulk_ : disk_, loc.addr, frame.value());
+        Status fetch_st =
+            from_bulk ? FetchUrgent(bulk_, loc.addr, PagingDevice::ReadMode::kMove, frame.value())
+                      : FetchUrgent(disk_, loc.addr, PagingDevice::ReadMode::kLend, frame.value());
         if (fetch_st != Status::kOk) {
           // Unrecoverable device fault (retries exhausted inside the
           // device). The page stays where it is; the fault surfaces to the
@@ -123,6 +128,7 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
           RemoveBulkResident(seg, page);
           ++metrics_.fetches_from_bulk;
         } else {
+          home = loc.addr;
           ++metrics_.fetches_from_disk;
         }
         break;
@@ -136,7 +142,7 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
     }
 
     core_map_->Bind(frame.value(), seg, page, seg->wired);
-    loc = PageLoc{PageLevel::kCore, kInvalidDevAddr};
+    loc = PageLoc{PageLevel::kCore, home};
     pte.present = true;
     pte.frame = frame.value();
     pte.used = true;
@@ -154,16 +160,18 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
   return Status::kInternal;  // 16 daemon races in a row: give up loudly.
 }
 
-Status ParallelPageControl::FetchUrgent(PagingDevice* device, DevAddr addr, FrameIndex frame) {
-  // The read moves the page's block out of its slot, which is freed as soon
-  // as the read lands. Nothing else frees the slot meanwhile: the events the
-  // wait pumps never run a process step, so no second fault on the page can
-  // start, and a bulk->disk move the daemon starts during the wait needs a
-  // bulk read plus a disk write before it frees anything.
+Status ParallelPageControl::FetchUrgent(PagingDevice* device, DevAddr addr,
+                                        PagingDevice::ReadMode mode, FrameIndex frame) {
+  // The read moves or lends the page's block out of its slot; a moved-from
+  // slot is freed as soon as the read lands. Nothing else frees the slot
+  // meanwhile: the events the wait pumps never run a process step, so no
+  // second fault on the page can start, and a bulk->disk move the daemon
+  // starts during the wait needs a bulk read plus a disk write before it
+  // frees anything.
   bool done = false;
   Status read_st = Status::kOk;
   PageBlock block;
-  device->ReadAsyncUrgent(addr, PagingDevice::ReadMode::kMove, [&](Status st, PageBlock read) {
+  device->ReadAsyncUrgent(addr, mode, [&](Status st, PageBlock read) {
     read_st = st;
     block = std::move(read);
     done = true;
@@ -171,7 +179,7 @@ Status ParallelPageControl::FetchUrgent(PagingDevice* device, DevAddr addr, Fram
   MX_RETURN_IF_ERROR(WaitFor(done));
   MX_RETURN_IF_ERROR(read_st);  // A failed read left the slot untouched.
   machine_->core().PutPage(frame, std::move(block));
-  return device->Free(addr);
+  return mode == PagingDevice::ReadMode::kMove ? device->Free(addr) : Status::kOk;
 }
 
 void ParallelPageControl::WakeCoreDaemon() {
@@ -211,7 +219,8 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
   PageTableEntry& pte = seg->page_table.entries[page];
   pte.present = false;
   PageBlock snapshot = machine_->core().CopyPage(pte.frame);
-  seg->location[page] = PageLoc{PageLevel::kInTransit, kInvalidDevAddr};
+  const DevAddr home = seg->location[page].addr;
+  seg->location[page] = PageLoc{PageLevel::kInTransit, home};
 
   ++evictions_in_flight_;
   ++metrics_.core_evictions;
@@ -235,7 +244,7 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
   if (!addr.ok()) {
     // Out of both bulk and disk space: undo and give up on this victim.
     pte.present = true;
-    seg->location[page] = PageLoc{PageLevel::kCore, kInvalidDevAddr};
+    seg->location[page] = PageLoc{PageLevel::kCore, home};
     fi.evicting = false;
     --evictions_in_flight_;
     --metrics_.core_evictions;
@@ -243,14 +252,15 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
   }
   // A reclaim flips the location back to kCore, and a later eviction gives
   // the page a new transfer; the completion below detects either by the
-  // transfer mismatch.
+  // transfer mismatch. In transit the location keeps the page's disk home,
+  // which a reclaim or a failed write hands back to the core page.
   const uint64_t transfer = ++last_transfer_;
-  seg->location[page] = PageLoc{PageLevel::kInTransit, addr.value(), transfer};
+  seg->location[page] = PageLoc{PageLevel::kInTransit, home, transfer};
 
   device->WriteAsync(
       addr.value(), std::move(snapshot),
-      [this, seg, page, victim, target, addr = addr.value(), device, transfer](Status st,
-                                                                              PageBlock) {
+      [this, seg, page, victim, target, addr = addr.value(), device, home, transfer](
+          Status st, PageBlock) {
         // A failed write hands the snapshot back; dropping it is safe,
         // because the frame still holds the page.
         LockGuard page_table(machine_->locks().PageTable());
@@ -267,12 +277,14 @@ void ParallelPageControl::StartAsyncEviction(FrameIndex victim) {
           (void)device->Free(addr);
           PageTableEntry& entry = seg->page_table.entries[page];
           entry.present = true;
-          seg->location[page] = PageLoc{PageLevel::kCore, kInvalidDevAddr};
+          seg->location[page] = PageLoc{PageLevel::kCore, home};
           FrameInfo& info = core_map_->info_mutable(victim);
           info.evicting = false;
           --metrics_.core_evictions;
           return;
         }
+        // The new copy is now the page's only one; its old disk home goes.
+        (void)FreeHome(home);
         seg->location[page] = PageLoc{target, addr};
         if (target == PageLevel::kBulk) {
           AddBulkResident(seg, page);
@@ -381,15 +393,23 @@ void ParallelPageControl::BulkMoveWriteDone(ActiveSegment* seg, PageNo page, Dev
   machine_->meter().Emit(TraceEventKind::kPageEvictDone, "bulk_to_disk_async", page);
 }
 
-Status ParallelPageControl::FlushSegment(ActiveSegment* seg) {
-  // Drain all in-flight daemon activity so no page of this segment is in
-  // transit, then flush synchronously.
+Status ParallelPageControl::DrainTransfers() {
   while (evictions_in_flight_ > 0 || bulk_moves_in_flight_ > 0) {
     if (!machine_->events().RunOne()) {
       return Status::kInternal;
     }
   }
+  return Status::kOk;
+}
+
+Status ParallelPageControl::FlushSegment(ActiveSegment* seg) {
+  MX_RETURN_IF_ERROR(DrainTransfers());
   return PageControlBase::FlushSegment(seg);
+}
+
+Status ParallelPageControl::DiscardPages(ActiveSegment* seg, PageNo first) {
+  MX_RETURN_IF_ERROR(DrainTransfers());
+  return PageControlBase::DiscardPages(seg, first);
 }
 
 void ParallelPageControl::PumpIdle() { machine_->events().RunUntilIdle(); }

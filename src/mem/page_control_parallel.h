@@ -36,6 +36,7 @@ class ParallelPageControl : public PageControlBase {
 
   Status EnsureResident(ActiveSegment* seg, PageNo page, AccessMode mode) override;
   Status FlushSegment(ActiveSegment* seg) override;
+  Status DiscardPages(ActiveSegment* seg, PageNo first) override;
   void PumpIdle() override;
 
   // Metrics specific to the daemons.
@@ -56,9 +57,15 @@ class ParallelPageControl : public PageControlBase {
   void BulkMoveWriteDone(ActiveSegment* seg, PageNo page, DevAddr bulk_addr, uint64_t transfer,
                          DevAddr disk_addr, Status st);
 
-  // Demand fetch of (device, addr) into `frame` on the priority channel;
-  // frees the slot once the page has moved into core.
-  Status FetchUrgent(PagingDevice* device, DevAddr addr, FrameIndex frame);
+  // Demand fetch of (device, addr) into `frame` on the priority channel. A
+  // kMove read frees the slot once the page is in core; a kLend read keeps
+  // it as the page's home.
+  Status FetchUrgent(PagingDevice* device, DevAddr addr, PagingDevice::ReadMode mode,
+                     FrameIndex frame);
+
+  // Runs events until no eviction or bulk->disk move is in flight, so no
+  // page is in transit.
+  Status DrainTransfers();
 
   // True while `loc` is still in transit under `transfer`, i.e. a completion
   // of that transfer still owns the page.

@@ -7,11 +7,19 @@
 //
 // A slot holds the same owned page block a core frame does (PageBlock,
 // src/hw/core_memory.h; null is a page of zeros). A write moves its block
-// into the slot; a read either moves the block out (kMove, for a page whose
-// slot is freed right after the read) or copies it once into a new block
-// (kCopy, for a page whose slot must stay authoritative until a later
-// transfer commits). Slots live in a flat array indexed by address that
-// grows on demand, so a device that never pages holds nothing.
+// into the slot. A read hands the block over in one of three modes:
+//
+//   * kMove moves the block out, for a page whose slot is freed right after
+//     the read (a fetch from the bulk store).
+//   * kLend moves the block out but keeps the slot allocated as the page's
+//     home (a fetch from disk). While the block is lent the slot refuses
+//     reads, and TakeBack returns the block with no transfer (a clean page
+//     going home). A write into the slot or freeing it ends the loan.
+//   * kCopy copies the block once into a new block, for a page whose slot
+//     must stay authoritative until a later transfer commits.
+//
+// Slots live in a flat array indexed by address that grows on demand, so a
+// device that never pages holds nothing.
 //
 // The controller is dual-channel: reads and writes each serialize on their
 // own channel, so a demand fetch does not queue behind a backlog of
@@ -28,8 +36,9 @@
 // failed read leaves the slot untouched and a failed write hands its block
 // back, so a failed transfer never loses the only copy of a page. Nothing
 // here CHECKs on simulated conditions: out-of-range addresses return
-// kInvalidArgument and freeing a slot that is not allocated returns
-// kFailedPrecondition.
+// kInvalidArgument, and freeing a slot that is not allocated, reading a slot
+// whose block is lent out, or taking a block back into a slot that did not
+// lend it returns kFailedPrecondition.
 
 #ifndef SRC_MEM_PAGING_DEVICE_H_
 #define SRC_MEM_PAGING_DEVICE_H_
@@ -63,7 +72,7 @@ class PagingDevice {
   bool Full() const { return free_list_.empty(); }
 
   // How a read treats the slot it reads (see the file comment).
-  enum class ReadMode : uint8_t { kMove, kCopy };
+  enum class ReadMode : uint8_t { kMove, kLend, kCopy };
 
   // Completion callbacks. A read delivers the page's block (null on
   // failure). A write delivers null on success and hands its block back on
@@ -76,6 +85,12 @@ class PagingDevice {
   // free list would later hand one slot to two pages.
   Result<DevAddr> Allocate();
   Status Free(DevAddr addr);
+
+  // Returns a block lent by a kLend read to its slot, with no transfer. A
+  // slot that did not lend its block refuses it (kFailedPrecondition) and
+  // leaves *block untouched: a home freed and reallocated since the loan
+  // can never be overwritten by the page that left it.
+  Status TakeBack(DevAddr addr, PageBlock* block);
 
   // Synchronous transfers: advance the simulation clock by queueing delay
   // plus latency before returning. A successful write moves *block into the
@@ -132,14 +147,16 @@ class PagingDevice {
   void StartRead(DevAddr addr, ReadMode mode, ReadDone done, bool urgent, int attempt);
   void StartWrite(DevAddr addr, PageBlock block, WriteDone done, int attempt);
 
-  // The block a completed read delivers: the slot's own (kMove) or a copy.
-  PageBlock ReadBlock(DevAddr addr, ReadMode mode);
+  // Delivers the block of a completed read into *out: the slot's own
+  // (kMove, kLend) or a copy. A slot whose block is lent out is refused.
+  Status ReadBlock(DevAddr addr, ReadMode mode, PageBlock* out);
   // Installs a written block, growing the slot array to cover `addr`.
   void StoreBlock(DevAddr addr, PageBlock block);
 
   struct Slot {
-    PageBlock block;  // Null: a page of zeros.
+    PageBlock block;  // Null: a page of zeros (or, while lent, nothing).
     bool allocated = false;
+    bool lent = false;  // The block is in a core frame (a kLend read).
   };
 
   std::string name_;

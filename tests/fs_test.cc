@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "src/base/random.h"
@@ -11,6 +13,7 @@
 #include "src/fs/kst.h"
 #include "src/fs/pathname.h"
 #include "src/fs/segment_store.h"
+#include "src/mem/page_control_parallel.h"
 #include "src/mem/page_control_sequential.h"
 
 namespace multics {
@@ -496,6 +499,214 @@ TEST_F(FsTest, GrowWhileActiveResizesPageTable) {
   EXPECT_EQ(seg.value()->page_table.size(), 4u);
   EXPECT_EQ(page_control_.EnsureResident(seg.value(), 3, AccessMode::kWrite), Status::kOk);
 }
+
+// --- Delete and truncate discard, under both page-control designs ---------------
+//
+// Nobody can read a deleted or truncated page again, so page control
+// releases it wherever it lives and writes nothing. Core (8 frames) and the
+// bulk store (8 slots) are small enough that an active segment of 24 pages
+// spreads over core, bulk and disk.
+
+class StoreDiscardTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static constexpr uint32_t kPages = 24;
+
+  StoreDiscardTest()
+      : machine_(MachineConfig{.core_frames = 8}),
+        core_map_(8),
+        bulk_("bulk", 8, 2000, 2000, &machine_),
+        disk_("disk", 512, 20000, 20000, &machine_),
+        ast_(8),
+        store_(&machine_, &ast_, &disk_) {
+    if (GetParam()) {
+      // Daemon thresholds that leave pages on the bulk store once idle.
+      page_control_ = std::make_unique<ParallelPageControl>(
+          &machine_, &core_map_, &bulk_, &disk_, &policy_,
+          ParallelPageControlConfig{.core_low_water = 2,
+                                    .core_high_water = 4,
+                                    .bulk_low_water = 2,
+                                    .bulk_high_water = 4});
+    } else {
+      page_control_ =
+          std::make_unique<SequentialPageControl>(&machine_, &core_map_, &bulk_, &disk_, &policy_);
+    }
+    store_.AttachPageControl(page_control_.get());
+  }
+
+  ActiveSegment* NewActive() {
+    auto uid = store_.Create(SegmentAttributes{}, /*is_directory=*/false, kInvalidUid);
+    CHECK(uid.ok());
+    CHECK(store_.SetLength(uid.value(), kPages) == Status::kOk);
+    auto seg = store_.Activate(uid.value());
+    CHECK(seg.ok());
+    return seg.value();
+  }
+
+  void Write(ActiveSegment* seg, PageNo page, uint32_t offset, Word value) {
+    ASSERT_EQ(page_control_->EnsureResident(seg, page, AccessMode::kWrite), Status::kOk);
+    PageTableEntry& pte = seg->page_table.entries[page];
+    machine_.core().WriteWord(pte.frame, offset, value);
+    pte.used = true;
+    pte.modified = true;
+    machine_.events().RunUntil(machine_.clock().now());  // Let daemons breathe.
+  }
+
+  Word Read(ActiveSegment* seg, PageNo page, uint32_t offset) {
+    CHECK(page_control_->EnsureResident(seg, page, AccessMode::kRead) == Status::kOk);
+    PageTableEntry& pte = seg->page_table.entries[page];
+    pte.used = true;
+    return machine_.core().ReadWord(pte.frame, offset);
+  }
+
+  // Writes every page, then lets the daemons settle.
+  void Fill(ActiveSegment* seg, Word base) {
+    for (PageNo p = 0; p < seg->pages; ++p) {
+      Write(seg, p, 5, base + p);
+      Write(seg, p, kPageWords - 1, base + p);
+    }
+    machine_.events().RunUntilIdle();
+  }
+
+  static uint32_t CountAt(const ActiveSegment* seg, PageLevel level) {
+    uint32_t count = 0;
+    for (PageNo p = 0; p < seg->pages; ++p) {
+      count += seg->location[p].level == level ? 1 : 0;
+    }
+    return count;
+  }
+
+  // The disk records the segment holds: on-disk pages and core pages' homes.
+  static uint32_t DiskRecords(const ActiveSegment* seg, PageNo end) {
+    uint32_t count = 0;
+    for (PageNo p = 0; p < end; ++p) {
+      const PageLoc& loc = seg->location[p];
+      if (loc.level == PageLevel::kDisk ||
+          (loc.level == PageLevel::kCore && loc.addr != kInvalidDevAddr)) {
+        ++count;
+      }
+    }
+    return count;
+  }
+
+  uint64_t DeviceWrites() const { return bulk_.writes() + disk_.writes(); }
+
+  Machine machine_;
+  CoreMap core_map_;
+  PagingDevice bulk_;
+  PagingDevice disk_;
+  ActiveSegmentTable ast_;
+  ClockPolicy policy_;
+  SegmentStore store_;
+  std::unique_ptr<PageControl> page_control_;
+};
+
+TEST_P(StoreDiscardTest, DeleteOfActiveSegmentWritesNothingAndFreesEverything) {
+  const uint32_t bulk_before = bulk_.used_pages();
+  const uint32_t disk_before = disk_.used_pages();
+  ActiveSegment* seg = NewActive();
+  const Uid uid = seg->uid;
+  Fill(seg, 100);
+  // Fetch a page back from disk: in core, it keeps its record as its home.
+  PageNo on_disk = 0;
+  while (on_disk < kPages && seg->location[on_disk].level != PageLevel::kDisk) {
+    ++on_disk;
+  }
+  ASSERT_LT(on_disk, kPages);
+  EXPECT_EQ(Read(seg, on_disk, 5), 100 + on_disk);
+  EXPECT_EQ(seg->location[on_disk].level, PageLevel::kCore);
+  EXPECT_NE(seg->location[on_disk].addr, kInvalidDevAddr);
+  ASSERT_GT(CountAt(seg, PageLevel::kCore), 0u);
+  ASSERT_GT(CountAt(seg, PageLevel::kBulk), 0u);
+  ASSERT_GT(CountAt(seg, PageLevel::kDisk), 0u);
+
+  const uint64_t writes = DeviceWrites();
+  ASSERT_EQ(store_.Delete(uid), Status::kOk);
+  machine_.events().RunUntilIdle();
+  EXPECT_EQ(DeviceWrites(), writes);
+  EXPECT_EQ(ast_.Find(uid), nullptr);
+  EXPECT_EQ(core_map_.free_count(), core_map_.frame_count());
+  EXPECT_EQ(bulk_.used_pages(), bulk_before);
+  EXPECT_EQ(disk_.used_pages(), disk_before);
+}
+
+TEST_P(StoreDiscardTest, TruncateWritesNothingAndKeepsTheHead) {
+  constexpr PageNo kCut = 4;
+  ActiveSegment* seg = NewActive();
+  Fill(seg, 400);
+  for (PageNo p = 0; p < kCut; ++p) {
+    ASSERT_EQ(Read(seg, p, 5), 400 + p);  // The head back in core.
+  }
+  machine_.events().RunUntilIdle();
+  const std::vector<PageLoc> head(seg->location.begin(), seg->location.begin() + kCut);
+  uint32_t head_in_core = 0;
+  uint32_t head_on_bulk = 0;
+  for (PageNo p = 0; p < kCut; ++p) {
+    head_in_core += seg->page_table.entries[p].present ? 1 : 0;
+    head_on_bulk += head[p].level == PageLevel::kBulk ? 1 : 0;
+  }
+  ASSERT_GT(head_in_core, 0u);
+  const uint32_t head_records = DiskRecords(seg, kCut);
+
+  const uint64_t writes = DeviceWrites();
+  ASSERT_EQ(store_.SetLength(seg->uid, kCut), Status::kOk);
+  EXPECT_EQ(DeviceWrites(), writes);
+  ASSERT_EQ(seg->pages, kCut);
+  for (PageNo p = 0; p < kCut; ++p) {
+    EXPECT_EQ(seg->location[p].level, head[p].level) << p;
+    EXPECT_EQ(seg->location[p].addr, head[p].addr) << p;
+    EXPECT_EQ(seg->page_table.entries[p].present, head[p].level == PageLevel::kCore) << p;
+  }
+  EXPECT_EQ(core_map_.free_count(), core_map_.frame_count() - head_in_core);
+  EXPECT_EQ(bulk_.used_pages(), head_on_bulk);
+  EXPECT_EQ(disk_.used_pages(), head_records);
+
+  // The tail grows back as zero pages; the head kept its words.
+  ASSERT_EQ(store_.SetLength(seg->uid, kPages), Status::kOk);
+  for (PageNo p = kCut; p < kPages; ++p) {
+    EXPECT_EQ(Read(seg, p, 5), 0u) << p;
+    EXPECT_EQ(Read(seg, p, kPageWords - 1), 0u) << p;
+  }
+  for (PageNo p = 0; p < kCut; ++p) {
+    EXPECT_EQ(Read(seg, p, 5), 400 + p) << p;
+  }
+}
+
+// Object reuse: a segment created after a delete, and handed the frames,
+// bulk slots and disk records the deleted one held, reads only zeros.
+TEST_P(StoreDiscardTest, SegmentCreatedAfterDeleteReadsZeros) {
+  ActiveSegment* old = NewActive();
+  Fill(old, 0xdead0000);
+  std::vector<DevAddr> old_records;
+  for (const PageLoc& loc : old->location) {
+    if (loc.level == PageLevel::kDisk) {
+      old_records.push_back(loc.addr);
+    }
+  }
+  ASSERT_FALSE(old_records.empty());
+  ASSERT_EQ(store_.Delete(old->uid), Status::kOk);
+
+  ActiveSegment* fresh = NewActive();
+  for (PageNo p = 0; p < kPages; ++p) {
+    Write(fresh, p, 0, 1);  // A different word: the rest of the page must stay zero.
+  }
+  machine_.events().RunUntilIdle();
+  ASSERT_EQ(page_control_->FlushSegment(fresh), Status::kOk);
+  uint32_t reused = 0;
+  for (const PageLoc& loc : fresh->location) {
+    reused += std::count(old_records.begin(), old_records.end(), loc.addr) > 0 ? 1 : 0;
+  }
+  EXPECT_GT(reused, 0u);
+  for (PageNo p = 0; p < kPages; ++p) {
+    EXPECT_EQ(Read(fresh, p, 0), 1u) << p;
+    EXPECT_EQ(Read(fresh, p, 5), 0u) << p;
+    EXPECT_EQ(Read(fresh, p, kPageWords - 1), 0u) << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDesigns, StoreDiscardTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& design) {
+                           return design.param ? "Parallel" : "Sequential";
+                         });
 
 // --- KST -----------------------------------------------------------------------
 

@@ -235,6 +235,74 @@ TEST_F(PagingDeviceTest, FailedMoveReadLeavesTheSlotIntact) {
   machine_.SetInjector(nullptr);
 }
 
+// A lent slot's block lives in a core frame: the slot refuses reads (they
+// would return zeros) until the block comes back, and takes a block back
+// only from the loan it made, never into a home freed and reallocated since.
+TEST_F(PagingDeviceTest, LentSlotRefusesReadsAndForeignTakeBack) {
+  auto addr = dev_.Allocate();
+  ASSERT_TRUE(addr.ok());
+  PageBlock page = PatternPage(3);
+  const Word* words = page.get();
+  ASSERT_EQ(dev_.WriteSync(addr.value(), &page), Status::kOk);
+  const uint64_t writes = dev_.writes();
+
+  PageBlock lent;
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kLend, &lent), Status::kOk);
+  EXPECT_EQ(lent.get(), words);  // The very block, not a copy.
+  EXPECT_EQ(dev_.used_pages(), 1u);  // The slot stays allocated as the home.
+  PageBlock out;
+  EXPECT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kCopy, &out),
+            Status::kFailedPrecondition);
+  EXPECT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kLend, &out),
+            Status::kFailedPrecondition);
+  bool done = false;
+  dev_.ReadAsyncUrgent(addr.value(), PagingDevice::ReadMode::kMove,
+                       [&](Status st, PageBlock block) {
+                         EXPECT_EQ(st, Status::kFailedPrecondition);
+                         EXPECT_EQ(block, nullptr);
+                         done = true;
+                       });
+  machine_.events().RunUntilIdle();
+  EXPECT_TRUE(done);
+
+  // The loan ends with no transfer; the slot reads the page again.
+  ASSERT_EQ(dev_.TakeBack(addr.value(), &lent), Status::kOk);
+  EXPECT_EQ(lent, nullptr);
+  EXPECT_EQ(dev_.writes(), writes);
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  EXPECT_TRUE(HoldsPattern(out, 3));
+  // A slot that lent nothing takes nothing back.
+  PageBlock stray = PatternPage(8);
+  EXPECT_EQ(dev_.TakeBack(addr.value(), &stray), Status::kFailedPrecondition);
+  EXPECT_TRUE(HoldsPattern(stray, 8));
+  EXPECT_EQ(dev_.TakeBack(5, &stray), Status::kFailedPrecondition);
+  // Neither does an unallocated slot lend.
+  EXPECT_EQ(dev_.ReadSync(5, PagingDevice::ReadMode::kLend, &out), Status::kFailedPrecondition);
+
+  // Lend again, then free the home and hand it to another page.
+  ASSERT_EQ(dev_.ReadSync(addr.value(), PagingDevice::ReadMode::kLend, &lent), Status::kOk);
+  ASSERT_EQ(dev_.Free(addr.value()), Status::kOk);
+  auto reused = dev_.Allocate();
+  ASSERT_TRUE(reused.ok());
+  ASSERT_EQ(reused.value(), addr.value());
+  ASSERT_EQ(dev_.ReadSync(reused.value(), PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  EXPECT_EQ(out, nullptr);  // The new owner's page, never written: zeros.
+  PageBlock other = PatternPage(9);
+  ASSERT_EQ(dev_.WriteSync(reused.value(), &other), Status::kOk);
+  EXPECT_EQ(dev_.TakeBack(reused.value(), &lent), Status::kFailedPrecondition);
+  EXPECT_TRUE(HoldsPattern(lent, 3));  // The stale page stays with its caller.
+  ASSERT_EQ(dev_.ReadSync(reused.value(), PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  EXPECT_TRUE(HoldsPattern(out, 9));
+
+  // A write into a lent slot ends the loan: the page was rewritten at home.
+  ASSERT_EQ(dev_.ReadSync(reused.value(), PagingDevice::ReadMode::kLend, &lent), Status::kOk);
+  PageBlock rewritten = PatternPage(10);
+  ASSERT_EQ(dev_.WriteSync(reused.value(), &rewritten), Status::kOk);
+  ASSERT_EQ(dev_.ReadSync(reused.value(), PagingDevice::ReadMode::kCopy, &out), Status::kOk);
+  EXPECT_TRUE(HoldsPattern(out, 10));
+  EXPECT_EQ(dev_.TakeBack(reused.value(), &lent), Status::kFailedPrecondition);
+}
+
 TEST_F(PagingDeviceTest, AsyncCompletionViaEvents) {
   auto addr = dev_.Allocate();
   ASSERT_TRUE(addr.ok());
@@ -823,7 +891,114 @@ TEST_P(PageControlFlushFailureTest, FlushWriteFaultKeepsBulkCopy) {
   ExpectAllStamps(*pc, seg);
 }
 
+// A page fetched from disk keeps its record as its home. A fault on the
+// write that puts a modified page back into that home must leave the page
+// in core, dirty and readable, and cost no disk record.
+TEST_P(PageControlFlushFailureTest, DirtyHomeWriteFaultKeepsCoreCopy) {
+  std::unique_ptr<PageControl> pc = MakeControl();
+  ActiveSegment* seg = NewSegment(1, 4);
+  StampAll(*pc, seg);
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  ExpectAllStamps(*pc, seg);  // Every page back in core, lent by its home.
+  const DevAddr home = seg->location[0].addr;
+  ASSERT_EQ(seg->location[0].level, PageLevel::kCore);
+  ASSERT_NE(home, kInvalidDevAddr);
+  Stamp(*pc, seg, 0, 9100);
+  const uint32_t disk_used = disk_.used_pages();
+  faults_.Arm(InjectSite::kDeviceWrite, "disk");
+  EXPECT_EQ(pc->FlushSegment(seg), Status::kDeviceError);
+  EXPECT_GT(disk_.failed_transfers(), 0u);
+  EXPECT_EQ(seg->location[0].level, PageLevel::kCore);
+  EXPECT_EQ(seg->location[0].addr, home);
+  EXPECT_TRUE(seg->page_table.entries[0].present);
+  EXPECT_TRUE(seg->page_table.entries[0].modified);
+  EXPECT_EQ(disk_.used_pages(), disk_used);
+  ExpectStamp(*pc, seg, 0, 9100);
+  faults_.Disarm();
+  const uint64_t writes = disk_.writes();
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  EXPECT_EQ(disk_.writes(), writes + 1);  // Only the dirty page; the rest go home clean.
+  EXPECT_EQ(seg->location[0].level, PageLevel::kDisk);
+  EXPECT_EQ(seg->location[0].addr, home);
+  EXPECT_EQ(disk_.used_pages(), disk_used);
+  ExpectStamp(*pc, seg, 0, 9100);
+  for (PageNo p = 1; p < seg->pages; ++p) {
+    ExpectStamp(*pc, seg, p, 7000 + p);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothDesigns, PageControlFlushFailureTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& design) {
+                           return design.param ? "Parallel" : "Sequential";
+                         });
+
+// --- Disk homes: page control writes only modified pages ------------------------
+
+class PageHomeTest : public PageControlFlushFailureTest {};
+
+TEST_P(PageHomeTest, CleanPageGoesHomeWithoutAWrite) {
+  std::unique_ptr<PageControl> pc = MakeControl();
+  ActiveSegment* seg = NewSegment(1, 2);
+  Stamp(*pc, seg, 0, 4400);
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  const DevAddr home = seg->location[0].addr;
+  const uint32_t disk_used = disk_.used_pages();
+  ExpectStamp(*pc, seg, 0, 4400);  // Fetched from disk, never modified.
+  EXPECT_EQ(seg->location[0].level, PageLevel::kCore);
+  EXPECT_EQ(seg->location[0].addr, home);
+  EXPECT_EQ(disk_.used_pages(), disk_used);  // The record stays the page's home.
+  const uint64_t writes = disk_.writes();
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  EXPECT_EQ(disk_.writes(), writes);
+  EXPECT_EQ(seg->location[0].level, PageLevel::kDisk);
+  EXPECT_EQ(seg->location[0].addr, home);
+  EXPECT_EQ(disk_.used_pages(), disk_used);
+  ExpectStamp(*pc, seg, 0, 4400);
+}
+
+TEST_P(PageHomeTest, DirtyPageIsRewrittenInItsHome) {
+  std::unique_ptr<PageControl> pc = MakeControl();
+  ActiveSegment* seg = NewSegment(1, 2);
+  Stamp(*pc, seg, 0, 4500);
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  const DevAddr home = seg->location[0].addr;
+  Stamp(*pc, seg, 0, 4501);  // Fetched from disk, then modified.
+  const uint32_t disk_used = disk_.used_pages();
+  const uint64_t writes = disk_.writes();
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  EXPECT_EQ(disk_.writes(), writes + 1);
+  EXPECT_EQ(disk_.used_pages(), disk_used);
+  EXPECT_EQ(seg->location[0].level, PageLevel::kDisk);
+  EXPECT_EQ(seg->location[0].addr, home);
+  ExpectStamp(*pc, seg, 0, 4501);
+}
+
+// Evicting a page to the bulk store makes the bulk copy its only one, so the
+// disk home goes back to the free pool.
+TEST_P(PageHomeTest, EvictionToBulkFreesTheHome) {
+  std::unique_ptr<PageControl> pc = MakeControl();
+  ActiveSegment* seg = NewSegment(1, 12);
+  StampAll(*pc, seg);
+  machine_.events().RunUntilIdle();
+  ASSERT_EQ(pc->FlushSegment(seg), Status::kOk);
+  ASSERT_EQ(disk_.used_pages(), 12u);
+  ExpectAllStamps(*pc, seg);  // Fetches every page back; core holds only 8.
+  machine_.events().RunUntilIdle();
+  uint32_t homes = 0;
+  for (PageNo p = 0; p < seg->pages; ++p) {
+    const PageLoc& loc = seg->location[p];
+    if (loc.level == PageLevel::kDisk ||
+        (loc.level == PageLevel::kCore && loc.addr != kInvalidDevAddr)) {
+      ++homes;
+    }
+  }
+  EXPECT_GT(pc->metrics().core_evictions, 0u);
+  EXPECT_LT(homes, 12u);
+  EXPECT_EQ(disk_.used_pages(), homes);
+  ExpectAllStamps(*pc, seg);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDesigns, PageHomeTest, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& design) {
                            return design.param ? "Parallel" : "Sequential";
                          });

@@ -12,7 +12,10 @@
 //
 // The constants were captured from the seed at commit 383d500 (pre-refactor)
 // and re-verified against the refactored tree; they are the oath, do not
-// regenerate them casually.
+// regenerate them casually. They have been re-captured once, for a model
+// change rather than a refactor: page control stopped writing pages nobody
+// reads (delete and truncate discard their pages, and a clean page goes
+// back to its disk home without a write).
 
 #include <gtest/gtest.h>
 
@@ -121,17 +124,17 @@ GoldenFingerprint RunGoldenWorkload(uint32_t cpus) {
 TEST(SimCoreGoldenTest, UniprocessorFingerprintMatchesSeed) {
   const GoldenFingerprint fp = RunGoldenWorkload(/*cpus=*/1);
   EXPECT_EQ(fp.completed, 80u);
-  EXPECT_EQ(fp.dispatch_hash, 0xd1546728a6c98feeull);
-  EXPECT_EQ(fp.final_clock, 5107610u);
-  EXPECT_EQ(fp.meter_export_hash, 0x8df033a84d9fb664ull);
+  EXPECT_EQ(fp.dispatch_hash, 0xd230780e14e0842aull);
+  EXPECT_EQ(fp.final_clock, 2494610u);
+  EXPECT_EQ(fp.meter_export_hash, 0xc417b39bf36bfaffull);
 }
 
 TEST(SimCoreGoldenTest, FourCpuFingerprintMatchesSeed) {
   const GoldenFingerprint fp = RunGoldenWorkload(/*cpus=*/4);
   EXPECT_EQ(fp.completed, 80u);
-  EXPECT_EQ(fp.dispatch_hash, 0xc1be53691e3dffeeull);
-  EXPECT_EQ(fp.final_clock, 3122453u);
-  EXPECT_EQ(fp.meter_export_hash, 0x17f5de348a60a3b6ull);
+  EXPECT_EQ(fp.dispatch_hash, 0x63846ed451a9737dull);
+  EXPECT_EQ(fp.final_clock, 790844u);
+  EXPECT_EQ(fp.meter_export_hash, 0x45f24e6cbe64bbd1ull);
 }
 
 // --- The memory-pressure oath ------------------------------------------------
@@ -145,7 +148,8 @@ TEST(SimCoreGoldenTest, FourCpuFingerprintMatchesSeed) {
 // selection) the way the oath above pins the scheduler and the meter.
 //
 // The constants were captured from the tree before pages moved by ownership
-// and the segment store was indexed by uid; do not regenerate them casually.
+// and the segment store was indexed by uid, and re-captured with the oath
+// above for the discard and disk-home model; do not regenerate them casually.
 
 struct PressureFingerprint {
   GoldenFingerprint golden;
@@ -196,18 +200,18 @@ TEST(SimCorePressureTest, UniprocessorFingerprintMatchesSeed) {
   const PressureFingerprint fp = RunPressureWorkload(/*cpus=*/1);
   ExpectPressureCoversThePagingPaths(fp);
   EXPECT_EQ(fp.golden.completed, 120u);
-  EXPECT_EQ(fp.golden.dispatch_hash, 0x6e18070026576550ull);
-  EXPECT_EQ(fp.golden.final_clock, 41937697u);
-  EXPECT_EQ(fp.golden.meter_export_hash, 0xb74809239546f031ull);
+  EXPECT_EQ(fp.golden.dispatch_hash, 0xa23599e3eea5292bull);
+  EXPECT_EQ(fp.golden.final_clock, 28100981u);
+  EXPECT_EQ(fp.golden.meter_export_hash, 0x3d0beabdab8f9dfeull);
 }
 
 TEST(SimCorePressureTest, FourCpuFingerprintMatchesSeed) {
   const PressureFingerprint fp = RunPressureWorkload(/*cpus=*/4);
   ExpectPressureCoversThePagingPaths(fp);
   EXPECT_EQ(fp.golden.completed, 120u);
-  EXPECT_EQ(fp.golden.dispatch_hash, 0x7c4c86c6997722ddull);
-  EXPECT_EQ(fp.golden.final_clock, 21218421u);
-  EXPECT_EQ(fp.golden.meter_export_hash, 0xefcce411adf7dfa9ull);
+  EXPECT_EQ(fp.golden.dispatch_hash, 0xd7da307bfc19c928ull);
+  EXPECT_EQ(fp.golden.final_clock, 17784150u);
+  EXPECT_EQ(fp.golden.meter_export_hash, 0x7f31d2da252f5b64ull);
 }
 
 // Two same-configuration runs in one process must agree with themselves too:
