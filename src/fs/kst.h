@@ -43,6 +43,16 @@ class KnownSegmentTable {
   bool IsKnown(Uid uid) const { return by_uid_.contains(uid); }
   uint32_t UsageCount(SegNo segno) const;
 
+  // The slot of this entry's trailer in the kernel's per-segment trailer
+  // list, kept so releasing the entry removes its trailer in O(1).
+  // kNoTrailer until the kernel first connects an SDW for the entry.
+  static constexpr uint32_t kNoTrailer = UINT32_MAX;
+  uint32_t trailer(SegNo segno) const {
+    const size_t slot = segno - first_;
+    return segno < first_ || slot >= dense_.size() ? kNoTrailer : dense_[slot].trailer;
+  }
+  void set_trailer(SegNo segno, uint32_t trailer);
+
   // Decrements the usage count; returns the remaining count (0 means the
   // entry is gone and the segment number free for reuse).
   Result<uint32_t> Release(SegNo segno);
@@ -67,6 +77,7 @@ class KnownSegmentTable {
   struct Entry {
     Uid uid = kInvalidUid;
     uint32_t usage = 0;
+    uint32_t trailer = kNoTrailer;
   };
 
   void SetDense(SegNo segno, const Entry& entry) {
@@ -83,7 +94,7 @@ class KnownSegmentTable {
   std::unordered_map<SegNo, Entry> by_segno_;
   std::unordered_map<Uid, SegNo> by_uid_;
   // Dense segno-indexed mirror of by_segno_, grown to the highest assigned
-  // number, serving the hot read paths (UidOf/UsageCount). The maps stay
+  // number, serving the hot read paths (UidOf/UsageCount/trailer). The maps stay
   // authoritative for iteration: ForEach order — which feeds teardown order,
   // a sim-visible sequence — must not change with the mirror's layout.
   std::vector<Entry> dense_;
