@@ -21,9 +21,11 @@
 #                                # (every test must hold on a 4-CPU machine),
 #                                # the SMP determinism/scheduler tests, and the
 #                                # bench_smp scalability table.
-#   scripts/check.sh --sessions  # session-engine suite: the scheduler and
-#                                # session tests plus the full bench_sessions
-#                                # run (100/1k/10k users, MLF-vs-FIFO, trace
+#   scripts/check.sh --sessions  # session-engine suite: the scheduler,
+#                                # session, process-lifecycle (kernel gates,
+#                                # traffic controller) and golden-fingerprint
+#                                # tests plus the full bench_sessions run
+#                                # (100/1k/10k users, MLF-vs-FIFO, trace
 #                                # determinism) under ASan+UBSan, then the
 #                                # tier-1 ctest list with the MLF scheduler
 #                                # (the default) in the plain build.
@@ -114,8 +116,10 @@ fi
 if [[ "${1:-}" == "--sessions" ]]; then
   echo "== session engine + scheduler suite under ASan+UBSan (build-asan/) =="
   cmake -B build-asan -S . "$NO_WERROR" -DMULTICS_SANITIZE=ON
-  cmake --build build-asan -j "$(nproc)" --target session_test sched_test bench_sessions
-  (cd build-asan && ctest --output-on-failure -R 'session_test|sched_test|bench_sessions_smoke' -j "$(nproc)")
+  cmake --build build-asan -j "$(nproc)" --target session_test sched_test bench_sessions \
+    kernel_gates_test proc_test simcore_test
+  (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
+    -R 'session_test|sched_test|bench_sessions_smoke|kernel_gates_test|proc_test|simcore_test')
   echo "== bench_sessions full run under ASan (100/1k/10k sessions, MLF vs FIFO) =="
   ./build-asan/bench/bench_sessions --json=build-asan/BENCH_SESSIONS_ASAN.json
   echo "== tier-1 ctest with the MLF scheduler (build/) =="

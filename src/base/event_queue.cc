@@ -35,9 +35,7 @@ uint32_t EventQueue::AllocSlot() {
 uint64_t EventQueue::PushEntry(Cycles when, uint32_t slot) {
   const uint32_t gen = NodeAt(slot).gen;
   heap_.push_back(HeapEntry{when, next_seq_++, slot, gen});
-  if (batch_depth_ == 0) {
-    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
-  }
+  std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
   ++live_count_;
   return (static_cast<uint64_t>(gen) << 32) | slot;
 }
@@ -49,10 +47,6 @@ void EventQueue::FreeSlot(uint32_t slot) {
   node.destroy = nullptr;
   node.next_free = free_head_;
   free_head_ = slot;
-}
-
-void EventQueue::RestoreHeap() {
-  std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }
 
 void EventQueue::PruneTombstones() {
@@ -83,7 +77,7 @@ bool EventQueue::Cancel(uint64_t id) {
   // Keep the heap at most half stale: prune (O(n) + make_heap) only when the
   // work amortises against the tombstones removed, so a schedule/cancel storm
   // runs in bounded memory without quadratic rebuilds.
-  if (batch_depth_ == 0 && tombstones_ > 16 && tombstones_ * 2 > heap_.size()) {
+  if (tombstones_ > 16 && tombstones_ * 2 > heap_.size()) {
     PruneTombstones();
   }
   return true;

@@ -15,8 +15,7 @@
 // encodes (generation << 32 | slot), so Cancel is an O(1) generation bump —
 // the stale heap entry is skipped at pop and pruned in bulk the moment
 // tombstones outnumber live entries, which bounds memory under cancel
-// storms. A BatchScope suspends per-insert sifting for the session engine's
-// arrival bursts and restores the heap invariant once on exit.
+// storms.
 
 #ifndef SRC_BASE_EVENT_QUEUE_H_
 #define SRC_BASE_EVENT_QUEUE_H_
@@ -83,25 +82,6 @@ class EventQueue {
   size_t pending() const { return live_count_; }
   SimClock* clock() const { return clock_; }
 
-  // Suspends per-insert heap sifting while in scope: entries are appended
-  // raw and the heap invariant is restored once at scope exit. For bulk
-  // posting (the session engine schedules every arrival up front); no event
-  // may dispatch while a batch is open.
-  class BatchScope {
-   public:
-    explicit BatchScope(EventQueue* queue) : queue_(queue) { ++queue_->batch_depth_; }
-    ~BatchScope() {
-      if (--queue_->batch_depth_ == 0) {
-        queue_->RestoreHeap();
-      }
-    }
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-
-   private:
-    EventQueue* queue_;
-  };
-
   // Allocation observability for the bounded-memory regression test: total
   // slab nodes ever allocated, and heap entries including tombstones.
   size_t slab_slots() const { return next_unused_; }
@@ -135,7 +115,7 @@ class EventQueue {
 
   // Min-heap on (when, seq) via std::push_heap/pop_heap with this "greater".
   // The dispatch order is a pure function of this comparator, so the heap's
-  // internal array layout (push_heap vs. a batch make_heap) cannot affect it.
+  // internal array layout (push_heap vs. a pruning make_heap) cannot affect it.
   struct EntryAfter {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.when != b.when) {
@@ -165,7 +145,6 @@ class EventQueue {
   uint64_t PushEntry(Cycles when, uint32_t slot);
   void FreeSlot(uint32_t slot);
   void PruneTombstones();
-  void RestoreHeap();
 
   SimClock* clock_;
   std::vector<std::unique_ptr<Node[]>> blocks_;  // Stable node addresses.
@@ -175,7 +154,6 @@ class EventQueue {
   size_t tombstones_ = 0;
   uint64_t next_seq_ = 0;
   size_t live_count_ = 0;
-  uint32_t batch_depth_ = 0;
 };
 // mx:hot-path:end
 

@@ -34,6 +34,11 @@ class Processor {
   void AttachAddressSpace(DescriptorSegment* dseg) { dseg_ = dseg; }
   DescriptorSegment* address_space() const { return dseg_; }
   void SetFaultSink(FaultSink* sink) { faults_ = sink; }
+  // Unbinds a destroyed process: no address space, faults to the null sink.
+  void Detach() {
+    dseg_ = nullptr;
+    faults_ = &null_sink_;
+  }
   void SetRing(RingNumber ring) { ring_ = ring; }
   RingNumber ring() const { return ring_; }
 

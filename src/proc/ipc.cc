@@ -1,5 +1,7 @@
 #include "src/proc/ipc.h"
 
+#include <algorithm>
+
 #include "src/meter/meter.h"
 
 namespace multics {
@@ -23,6 +25,11 @@ Status EventChannelTable::Destroy(ChannelId id) {
   }
   slots_[id - 1].reset();
   return Status::kOk;
+}
+
+size_t EventChannelTable::live_count() const {
+  return std::count_if(slots_.begin(), slots_.end(),
+                       [](const auto& slot) { return slot != nullptr; });
 }
 
 Result<ProcessId> EventChannelTable::OwnerOf(ChannelId id) const {

@@ -59,6 +59,8 @@ class EventChannelTable {
   Status SetWaiter(ChannelId id, ProcessId waiter);
 
   uint64_t total_wakeups() const { return total_wakeups_; }
+  // Channels created and not yet destroyed.
+  size_t live_count() const;
 
  private:
   struct Channel {

@@ -225,6 +225,23 @@ Process* TrafficController::Find(ProcessId pid) {
   return it == processes_.end() ? nullptr : it->second.get();
 }
 
+void TrafficController::Destroy(Process* process) {
+  CHECK(process != running_) << "process " << process->pid() << " destroyed inside its step";
+  CHECK(!IsDedicated(process)) << "dedicated process " << process->pid() << " is permanent";
+  if (process->in_run_queue()) {
+    RemoveFromQueues(process);
+  }
+  for (Process*& last : last_on_cpu_) {
+    if (last == process) {
+      last = nullptr;
+    }
+  }
+  if (last_running_ == process) {
+    last_running_ = nullptr;
+  }
+  processes_.erase(process->pid());
+}
+
 void TrafficController::MakeReady(Process* process) {
   if (process->state() == TaskState::kDone) {
     return;
@@ -552,7 +569,9 @@ bool TrafficController::RunSlice() {
   }
   const Cycles busy_before = machine_->busy_cycles(cpu);
   TaskContext ctx(this, next);
+  running_ = next;
   TaskState state = next->program()->Step(ctx);
+  running_ = nullptr;
   meter.SetContext(previous_context);
   // Everything the step charged on this CPU — gate bodies included — counts
   // against the process's quantum and its work class's virtual time.

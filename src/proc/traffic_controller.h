@@ -129,6 +129,13 @@ class TrafficController {
                                  std::unique_ptr<Task> program, bool dedicated = false);
 
   Process* Find(ProcessId pid);
+  // Erases a process the kernel has torn down, after dropping the
+  // controller's own pointers to it: its run-queue entry and the per-CPU
+  // records of what ran last. Neither the running process nor a dedicated
+  // one may be destroyed.
+  void Destroy(Process* process);
+  // The process whose step is executing, or null between slices.
+  Process* running() const { return running_; }
   // Whole-population sweep, for the static certifier and shutdown paths.
   template <typename Fn>
   void ForEachProcess(Fn&& fn) {
@@ -273,6 +280,7 @@ class TrafficController {
   InterruptStrategy interrupt_strategy_ = InterruptStrategy::kDedicatedProcesses;
   std::unordered_map<InterruptLine, HandlerSpec> handlers_;
 
+  Process* running_ = nullptr;                  // Inside its Step, if any.
   Process* last_running_ = nullptr;             // Most recent dispatch on any CPU.
   std::vector<Process*> last_on_cpu_;           // Per-CPU, for switch accounting.
   ProcessId next_pid_ = 1;

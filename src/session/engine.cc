@@ -1,5 +1,7 @@
 #include "src/session/engine.h"
 
+#include <algorithm>
+
 #include "src/base/log.h"
 
 namespace multics {
@@ -92,7 +94,7 @@ void SessionEngine::StartSession(uint32_t index) {
   const uint32_t user = index % config_.user_pool;
   auto task = std::make_unique<SessionTask>(
       kernel_, &params_, index, config_.seed, is_batch_[index],
-      [this](uint32_t i, bool ok) { FinishSession(i, ok); });
+      [this](uint32_t i, ProcessId pid, bool ok) { FinishSession(i, pid, ok); });
   auto process = answering_->Login("Su" + std::to_string(user), "Sessions",
                                    "pw" + std::to_string(user), MlsLabel{}, std::move(task));
   if (!process.ok()) {
@@ -104,7 +106,7 @@ void SessionEngine::StartSession(uint32_t index) {
       process.value(), is_batch_[index] ? batch_class_ : interactive_class_);
 }
 
-void SessionEngine::FinishSession(uint32_t index, bool ok) {
+void SessionEngine::FinishSession(uint32_t index, ProcessId pid, bool ok) {
   const Cycles now = kernel_->machine().clock().now();
   const double latency = static_cast<double>(now - started_at_[index]);
   stats_.latency.Add(latency);
@@ -120,33 +122,50 @@ void SessionEngine::FinishSession(uint32_t index, bool ok) {
   }
   last_finish_ = now;
   --outstanding_;
+  pending_logouts_.push_back(pid);
+}
+
+void SessionEngine::LogOutFinished() {
+  std::vector<ProcessId> batch;
+  batch.swap(pending_logouts_);
+  for (ProcessId pid : batch) {
+    (void)answering_->Logout(pid);
+  }
+}
+
+void SessionEngine::ScheduleArrival(uint32_t index, Cycles previous) {
+  // Arrival times and kinds come from the master stream in session order,
+  // so arrival order is part of the seed. Each arrival schedules the next:
+  // the queue holds one arrival event, not one per session. An arrival
+  // already in the past (the event fired behind a leading CPU's clock) is
+  // posted at now; it only queues its index, so nothing else moves.
+  const Cycles arrival =
+      previous +
+      master_rng_.NextGeometric(1.0 / static_cast<double>(config_.mean_interarrival)) + 1;
+  is_batch_[index] = master_rng_.NextBool(config_.batch_fraction);
+  if (index == 0) {
+    first_arrival_ = arrival;
+  }
+  EventQueue& events = kernel_->machine().events();
+  events.ScheduleAt(std::max(arrival, events.clock()->now()), [this, index, arrival] {
+    pending_arrivals_.push_back(index);
+    if (index + 1 < config_.sessions) {
+      ScheduleArrival(index + 1, arrival);
+    }
+  });
 }
 
 Status SessionEngine::Run() {
   TrafficController& traffic = kernel_->traffic();
-  EventQueue& events = kernel_->machine().events();
-
-  // Schedule every arrival up front from the master stream; the login itself
-  // runs at event-dispatch time, so arrival order is part of the seed.
-  Cycles arrival = kernel_->machine().clock().now();
   outstanding_ = config_.sessions;
-  {
-    // Bulk insertion: at 10k sessions this is 10k heap pushes before any
-    // event can run, so let the queue append raw and heapify once.
-    EventQueue::BatchScope batch_scope(&events);
-    for (uint32_t index = 0; index < config_.sessions; ++index) {
-      arrival +=
-          master_rng_.NextGeometric(1.0 / static_cast<double>(config_.mean_interarrival)) + 1;
-      is_batch_[index] = master_rng_.NextBool(config_.batch_fraction);
-      if (index == 0) {
-        first_arrival_ = arrival;
-      }
-      events.ScheduleAt(arrival, [this, index] { pending_arrivals_.push_back(index); });
-    }
-  }
+  ScheduleArrival(0, kernel_->machine().clock().now());
 
   uint64_t slices = 0;
   while (outstanding_ > 0 && slices < config_.max_slices) {
+    if (!pending_logouts_.empty()) {
+      LogOutFinished();
+      continue;
+    }
     if (!pending_arrivals_.empty()) {
       // Drain arrivals at top level, in event order. The logins fault and
       // advance the clock; any arrivals that fire meanwhile just queue.
@@ -170,6 +189,7 @@ Status SessionEngine::Run() {
       tick_(slices);
     }
   }
+  LogOutFinished();  // The last sessions finished in the final slices.
   stats_.slices = slices;
   stats_.makespan = last_finish_ > first_arrival_ ? last_finish_ - first_arrival_ : 0;
   if (outstanding_ > 0) {

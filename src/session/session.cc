@@ -13,8 +13,7 @@ uint64_t SessionSeed(uint64_t engine_seed, uint32_t index) {
 }
 
 SessionTask::SessionTask(Kernel* kernel, const WorkloadParams* params, uint32_t index,
-                         uint64_t seed, bool batch,
-                         std::function<void(uint32_t, bool)> finished)
+                         uint64_t seed, bool batch, Finished finished)
     : kernel_(kernel),
       params_(params),
       index_(index),
@@ -181,7 +180,7 @@ TaskState SessionTask::DoCleanup(TaskContext& ctx) {
     (void)kernel_->FsDelete(self, dir_segno_, scratch_name_);
   }
   if (finished_) {
-    finished_(index_, !failed_);
+    finished_(index_, self.pid(), !failed_);
     finished_ = nullptr;
   }
   return TaskState::kDone;

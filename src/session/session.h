@@ -44,9 +44,11 @@ struct WorkloadParams {
 // to AnsweringService::Login as the initial procedure of the new process.
 class SessionTask : public Task {
  public:
-  // `finished(index, ok)` fires exactly once, from the final Step.
+  // `finished(index, pid, ok)` fires exactly once, from the final Step;
+  // `pid` is the session's own process, which the engine logs out.
+  using Finished = std::function<void(uint32_t, ProcessId, bool)>;
   SessionTask(Kernel* kernel, const WorkloadParams* params, uint32_t index,
-              uint64_t seed, bool batch, std::function<void(uint32_t, bool)> finished);
+              uint64_t seed, bool batch, Finished finished);
 
   TaskState Step(TaskContext& ctx) override;
 
@@ -68,7 +70,7 @@ class SessionTask : public Task {
   uint32_t index_;
   Rng rng_;
   bool batch_;
-  std::function<void(uint32_t, bool)> finished_;
+  Finished finished_;
 
   Phase phase_ = Phase::kSetup;
   bool failed_ = false;

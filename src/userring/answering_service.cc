@@ -97,4 +97,6 @@ Result<Process*> AnsweringService::Login(const std::string& person, const std::s
   return Status::kAuthenticationFailed;
 }
 
+Status AnsweringService::Logout(ProcessId pid) { return kernel_->ProcDestroy(*service_, pid); }
+
 }  // namespace multics

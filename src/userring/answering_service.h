@@ -42,6 +42,11 @@ class AnsweringService {
                          const std::string& password, const MlsLabel& requested,
                          std::unique_ptr<Task> program = nullptr);
 
+  // Logout: destroys the user's process through the proc_destroy gate, as
+  // Multics' answering service destroyed a process when its user logged
+  // out. Legal for any user's process because the service runs in ring 1.
+  Status Logout(ProcessId pid);
+
   Process* service_process() const { return service_; }
   SegNo password_segno() const { return pwd_segno_; }
   uint64_t failed_logins() const { return failed_logins_; }

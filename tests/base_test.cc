@@ -221,23 +221,6 @@ TEST(EventQueueTest, HundredThousandCancelsStayBounded) {
   EXPECT_EQ(q.pending(), 0u);
 }
 
-TEST(EventQueueTest, BatchScopeKeepsDispatchOrder) {
-  SimClock clock;
-  EventQueue q(&clock);
-  std::vector<int> order;
-  {
-    EventQueue::BatchScope batch(&q);
-    q.ScheduleAfter(30, [&] { order.push_back(3); });
-    q.ScheduleAfter(10, [&] { order.push_back(1); });
-    q.ScheduleAfter(10, [&] { order.push_back(2); });  // FIFO at equal time.
-    q.ScheduleAfter(40, [&] { order.push_back(4); });
-  }
-  q.ScheduleAfter(20, [&] { order.push_back(0); });  // Post-batch insert mixes in.
-  q.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3, 4}));
-  EXPECT_EQ(clock.now(), 40u);
-}
-
 TEST(EventQueueTest, RunUntilStopsAtDeadline) {
   SimClock clock;
   EventQueue q(&clock);

@@ -58,6 +58,63 @@ RunOutcome RunSessions(uint32_t sessions, uint32_t cpus, uint64_t seed) {
   return outcome;
 }
 
+// What the kernel still holds once every session has logged out.
+struct RetainedState {
+  uint32_t processes = 0;
+  uint64_t kst_entries = 0;
+  size_t trailers = 0;
+  size_t fault_sinks = 0;
+  size_t channels = 0;
+  size_t slab_slots = 0;
+};
+
+RetainedState ServeSessions(uint32_t sessions) {
+  KernelParams params;
+  params.machine.cpus = 2;
+  Kernel kernel(params);
+  EXPECT_TRUE(Bootstrap::Run(kernel, {.users = DefaultUsers()}).ok());
+  session::SessionEngineConfig config;
+  config.sessions = sessions;
+  config.seed = 5;
+  config.user_pool = 8;
+  config.project_dirs = 4;
+  config.hot_segments = 8;
+  config.mean_think = 5000;
+  config.mean_interarrival = 1500;
+  config.interactions = 3;
+  config.compile_steps = 8;
+  auto engine = session::SessionEngine::Create(&kernel, config);
+  EXPECT_TRUE(engine.ok());
+  EXPECT_EQ(engine.value()->Run(), Status::kOk);
+  EXPECT_EQ(engine.value()->stats().completed, sessions);
+
+  RetainedState state;
+  TrafficController& traffic = kernel.traffic();
+  state.processes = traffic.process_count();
+  traffic.ForEachProcess([&state](Process& p) { state.kst_entries += p.kst().size(); });
+  state.trailers = kernel.trailer_count();
+  state.fault_sinks = kernel.fault_sink_count();
+  state.channels = traffic.channels().live_count();
+  state.slab_slots = kernel.machine().events().slab_slots();
+  return state;
+}
+
+// Logout destroys each session's process, so retained state follows the
+// live sessions (none at the end), not the sessions served.
+TEST(SessionEngineTest, RetainedStateFollowsLiveSessions) {
+  const RetainedState n = ServeSessions(200);
+  const RetainedState twice_n = ServeSessions(400);
+  // The initializer, the answering service and the session operator.
+  EXPECT_EQ(n.processes, 3u);
+  EXPECT_EQ(twice_n.processes, n.processes);
+  EXPECT_EQ(twice_n.kst_entries, n.kst_entries);
+  EXPECT_EQ(twice_n.trailers, n.trailers);
+  EXPECT_EQ(twice_n.fault_sinks, n.fault_sinks);
+  EXPECT_EQ(twice_n.channels, n.channels);
+  EXPECT_LE(twice_n.slab_slots, n.slab_slots);
+  // Meter profile nodes are left out: they are the observer's per-pid record.
+}
+
 TEST(SessionEngineTest, AllSessionsCompleteCleanly) {
   const RunOutcome outcome = RunSessions(/*sessions=*/24, /*cpus=*/2, /*seed=*/7);
   EXPECT_EQ(outcome.completed, 24u);

@@ -12,10 +12,12 @@
 //
 // The constants were captured from the seed at commit 383d500 (pre-refactor)
 // and re-verified against the refactored tree; they are the oath, do not
-// regenerate them casually. They have been re-captured once, for a model
-// change rather than a refactor: page control stopped writing pages nobody
-// reads (delete and truncate discard their pages, and a clean page goes
-// back to its disk home without a write).
+// regenerate them casually. They have been re-captured twice, each time for
+// a model change rather than a refactor: page control stopped writing pages
+// nobody reads (delete and truncate discard their pages, and a clean page
+// goes back to its disk home without a write); then logout began destroying
+// the session's process through proc_destroy, and each arrival began
+// scheduling the next instead of all arrivals being posted up front.
 
 #include <gtest/gtest.h>
 
@@ -124,17 +126,17 @@ GoldenFingerprint RunGoldenWorkload(uint32_t cpus) {
 TEST(SimCoreGoldenTest, UniprocessorFingerprintMatchesSeed) {
   const GoldenFingerprint fp = RunGoldenWorkload(/*cpus=*/1);
   EXPECT_EQ(fp.completed, 80u);
-  EXPECT_EQ(fp.dispatch_hash, 0xd230780e14e0842aull);
-  EXPECT_EQ(fp.final_clock, 2494610u);
-  EXPECT_EQ(fp.meter_export_hash, 0xc417b39bf36bfaffull);
+  EXPECT_EQ(fp.dispatch_hash, 0xefccbd57aff8e1d3ull);
+  EXPECT_EQ(fp.final_clock, 2495110u);
+  EXPECT_EQ(fp.meter_export_hash, 0x5430f6651c510b68ull);
 }
 
 TEST(SimCoreGoldenTest, FourCpuFingerprintMatchesSeed) {
   const GoldenFingerprint fp = RunGoldenWorkload(/*cpus=*/4);
   EXPECT_EQ(fp.completed, 80u);
-  EXPECT_EQ(fp.dispatch_hash, 0x63846ed451a9737dull);
-  EXPECT_EQ(fp.final_clock, 790844u);
-  EXPECT_EQ(fp.meter_export_hash, 0x45f24e6cbe64bbd1ull);
+  EXPECT_EQ(fp.dispatch_hash, 0xa2e59a096258e521ull);
+  EXPECT_EQ(fp.final_clock, 795629u);
+  EXPECT_EQ(fp.meter_export_hash, 0xd58cbc60f779e061ull);
 }
 
 // --- The memory-pressure oath ------------------------------------------------
@@ -149,7 +151,7 @@ TEST(SimCoreGoldenTest, FourCpuFingerprintMatchesSeed) {
 //
 // The constants were captured from the tree before pages moved by ownership
 // and the segment store was indexed by uid, and re-captured with the oath
-// above for the discard and disk-home model; do not regenerate them casually.
+// above for each model change since; do not regenerate them casually.
 
 struct PressureFingerprint {
   GoldenFingerprint golden;
@@ -200,18 +202,18 @@ TEST(SimCorePressureTest, UniprocessorFingerprintMatchesSeed) {
   const PressureFingerprint fp = RunPressureWorkload(/*cpus=*/1);
   ExpectPressureCoversThePagingPaths(fp);
   EXPECT_EQ(fp.golden.completed, 120u);
-  EXPECT_EQ(fp.golden.dispatch_hash, 0xa23599e3eea5292bull);
-  EXPECT_EQ(fp.golden.final_clock, 28100981u);
-  EXPECT_EQ(fp.golden.meter_export_hash, 0x3d0beabdab8f9dfeull);
+  EXPECT_EQ(fp.golden.dispatch_hash, 0xf5dd8b00e723be2full);
+  EXPECT_EQ(fp.golden.final_clock, 28103981u);
+  EXPECT_EQ(fp.golden.meter_export_hash, 0x339a4d19fa1e5382ull);
 }
 
 TEST(SimCorePressureTest, FourCpuFingerprintMatchesSeed) {
   const PressureFingerprint fp = RunPressureWorkload(/*cpus=*/4);
   ExpectPressureCoversThePagingPaths(fp);
   EXPECT_EQ(fp.golden.completed, 120u);
-  EXPECT_EQ(fp.golden.dispatch_hash, 0xd7da307bfc19c928ull);
-  EXPECT_EQ(fp.golden.final_clock, 17784150u);
-  EXPECT_EQ(fp.golden.meter_export_hash, 0x7f31d2da252f5b64ull);
+  EXPECT_EQ(fp.golden.dispatch_hash, 0xb82b560a5c83aa41ull);
+  EXPECT_EQ(fp.golden.final_clock, 17929662u);
+  EXPECT_EQ(fp.golden.meter_export_hash, 0x2bc0b16ccef424f0ull);
 }
 
 // Two same-configuration runs in one process must agree with themselves too:
