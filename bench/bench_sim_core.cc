@@ -1,5 +1,5 @@
 // Sim-core microbench: exercises the four flattened hot paths of the speed
-// program in isolation — the event-queue slab (schedule / cancel / dispatch),
+// program in isolation — the event-queue slab (schedule / dispatch),
 // the SimLock busy-interval timeline under cross-CPU contention, the meter's
 // interned-id counter cells, and the processor's cached descriptor walk.
 //
@@ -31,25 +31,18 @@ uint64_t Mix(uint64_t x) {
 
 struct EventQueueRun {
   uint64_t dispatched = 0;
-  uint64_t cancelled = 0;
   Cycles final_clock = 0;
   uint64_t slab_slots = 0;
 };
 
-// Schedule `n` events with scattered delays, cancel every third id, drain.
-// The cancel set forces the tombstone path; the scattered delays force real
-// heap churn rather than FIFO append.
+// Schedule `n` events with scattered delays, then drain. The scattered
+// delays force real heap churn rather than FIFO append.
 EventQueueRun RunEventQueue(uint64_t n) {
   Machine machine(MachineConfig{});
   EventQueueRun run;
-  std::vector<uint64_t> ids;
-  ids.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     const Cycles delay = 1 + (Mix(i * 2654435761u) % 50'000);
-    ids.push_back(machine.events().ScheduleAfter(delay, [&run] { ++run.dispatched; }));
-  }
-  for (uint64_t i = 0; i < ids.size(); i += 3) {
-    if (machine.events().Cancel(ids[i])) ++run.cancelled;
+    machine.events().ScheduleAfter(delay, [&run] { ++run.dispatched; });
   }
   machine.events().RunUntilIdle();
   run.final_clock = machine.clock().now();
@@ -184,7 +177,6 @@ void RunBench(const bench::BenchOptions& options) {
   table.AddRow({"event queue", Fmt(events),
                 "dispatched " + Fmt(eq.dispatched) + ", clock " + Fmt(eq.final_clock)});
   bench::RegisterMetric("eventq_dispatched", eq.dispatched, "events");
-  bench::RegisterMetric("eventq_cancelled", eq.cancelled, "events");
   bench::RegisterMetric("eventq_final_clock", eq.final_clock, "cycles");
   bench::RegisterMetric("eventq_slab_slots", eq.slab_slots, "slots");
 

@@ -11,11 +11,9 @@
 // steady state schedules and dispatches without touching the allocator. The
 // slab is a list of fixed-size blocks, so node addresses are stable: a
 // callback runs where it was built even if the pool grows under it. The
-// heap orders plain 24-byte {when, seq, slot, gen} entries; an event id
-// encodes (generation << 32 | slot), so Cancel is an O(1) generation bump —
-// the stale heap entry is skipped at pop and pruned in bulk the moment
-// tombstones outnumber live entries, which bounds memory under cancel
-// storms.
+// heap orders plain {when, seq, slot} entries. A posted event always runs:
+// nothing in the simulation withdraws one, so the queue mints no ids and
+// every heap entry names a live node.
 
 #ifndef SRC_BASE_EVENT_QUEUE_H_
 #define SRC_BASE_EVENT_QUEUE_H_
@@ -45,26 +43,20 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Schedules `fn` to run `delay` cycles from now. Returns an id usable with
-  // Cancel().
+  // Schedules `fn` to run `delay` cycles from now.
   template <typename F>
-  uint64_t ScheduleAfter(Cycles delay, F&& fn) {
-    return ScheduleAt(clock_->now() + delay, std::forward<F>(fn));
+  void ScheduleAfter(Cycles delay, F&& fn) {
+    ScheduleAt(clock_->now() + delay, std::forward<F>(fn));
   }
 
   template <typename F>
-  uint64_t ScheduleAt(Cycles when, F&& fn) {
+  void ScheduleAt(Cycles when, F&& fn) {
     MX_HOST_SPAN(kEventQueue);
     CHECK_GE(when, clock_->now());
     const uint32_t slot = AllocSlot();
     EmplaceCallback(&NodeAt(slot), std::forward<F>(fn));
-    return PushEntry(when, slot);
+    PushEntry(when, slot);
   }
-
-  // Cancels a pending event; returns false if it already ran or was
-  // cancelled. Cancellation destroys the callback and recycles its slot
-  // immediately; the heap entry becomes a tombstone skipped at dispatch.
-  bool Cancel(uint64_t id);
 
   // Dispatches the earliest pending event, advancing the clock to its time.
   // Returns false when the queue is empty.
@@ -78,14 +70,13 @@ class EventQueue {
   // `deadline` (if it is later). Returns number dispatched.
   uint64_t RunUntil(Cycles deadline);
 
-  bool empty() const { return live_count_ == 0; }
-  size_t pending() const { return live_count_; }
+  bool empty() const { return heap_.empty(); }
+  size_t pending() const { return heap_.size(); }
   SimClock* clock() const { return clock_; }
 
   // Allocation observability for the bounded-memory regression test: total
-  // slab nodes ever allocated, and heap entries including tombstones.
+  // slab nodes ever allocated.
   size_t slab_slots() const { return next_unused_; }
-  size_t heap_slots() const { return heap_.size(); }
 
  private:
   // Inline storage covers the largest steady-state poster (a paging-device
@@ -99,9 +90,8 @@ class EventQueue {
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
   struct Node {
-    void (*invoke)(Node*) = nullptr;  // Null = slot free or event running.
-    void (*destroy)(Node*) = nullptr;
-    uint32_t gen = 1;  // Bumped on recycle; ids embed it, so stale ids miss.
+    void (*invoke)(Node*) = nullptr;
+    void (*destroy)(Node*) = nullptr;  // Null = slot free.
     uint32_t next_free = kNoSlot;
     alignas(std::max_align_t) unsigned char storage[kInlineBytes];
   };
@@ -110,12 +100,11 @@ class EventQueue {
     Cycles when;
     uint64_t seq;  // Tie-break: FIFO among same-time events.
     uint32_t slot;
-    uint32_t gen;
   };
 
   // Min-heap on (when, seq) via std::push_heap/pop_heap with this "greater".
   // The dispatch order is a pure function of this comparator, so the heap's
-  // internal array layout (push_heap vs. a pruning make_heap) cannot affect it.
+  // internal array layout cannot affect it.
   struct EntryAfter {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
       if (a.when != b.when) {
@@ -142,18 +131,15 @@ class EventQueue {
   Node& NodeAt(uint32_t slot) { return blocks_[slot >> kBlockShift][slot & kBlockMask]; }
 
   uint32_t AllocSlot();
-  uint64_t PushEntry(Cycles when, uint32_t slot);
+  void PushEntry(Cycles when, uint32_t slot);
   void FreeSlot(uint32_t slot);
-  void PruneTombstones();
 
   SimClock* clock_;
   std::vector<std::unique_ptr<Node[]>> blocks_;  // Stable node addresses.
   uint32_t next_unused_ = 0;   // Slots [0, next_unused_) have been handed out.
   uint32_t free_head_ = kNoSlot;
   std::vector<HeapEntry> heap_;
-  size_t tombstones_ = 0;
   uint64_t next_seq_ = 0;
-  size_t live_count_ = 0;
 };
 // mx:hot-path:end
 

@@ -12,7 +12,7 @@ void Distribution::Add(double sample) {
   samples_.push_back(sample);
   sum_ += sample;
   sum_sq_ += sample * sample;
-  sorted_valid_ = false;
+  is_sorted_ = false;
 }
 
 double Distribution::min() const {
@@ -41,23 +41,18 @@ double Distribution::stddev() const {
   return var > 0.0 ? std::sqrt(var) : 0.0;
 }
 
-void Distribution::EnsureSorted() const {
-  if (!sorted_valid_) {
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_valid_ = true;
-  }
-}
-
 double Distribution::Percentile(double q) const {
   CHECK(!samples_.empty());
-  EnsureSorted();
+  if (!is_sorted_) {
+    std::sort(samples_.begin(), samples_.end());
+    is_sorted_ = true;
+  }
   q = std::clamp(q, 0.0, 1.0);
-  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(sorted_.size())));
+  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(samples_.size())));
   if (rank > 0) {
     --rank;
   }
-  return sorted_[std::min(rank, sorted_.size() - 1)];
+  return samples_[std::min(rank, samples_.size() - 1)];
 }
 
 std::string Distribution::Summary() const {
@@ -73,8 +68,7 @@ std::string Distribution::Summary() const {
 
 void Distribution::Clear() {
   samples_.clear();
-  sorted_.clear();
-  sorted_valid_ = false;
+  is_sorted_ = true;
   sum_ = 0.0;
   sum_sq_ = 0.0;
 }

@@ -10,6 +10,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/base/static_name.h"
+
 namespace multics {
 
 // Open-addressed pointer -> small-integer cache for hot paths that name
@@ -89,6 +91,8 @@ class StaticNameCache {
 };
 
 // Exact sample distribution. Stores every sample; fine at simulation scale.
+// Nothing reads the samples in arrival order (mean and stddev use running
+// sums), so a percentile read sorts them in place.
 class Distribution {
  public:
   void Add(double sample);
@@ -106,11 +110,8 @@ class Distribution {
   void Clear();
 
  private:
-  void EnsureSorted() const;
-
-  std::vector<double> samples_;
-  mutable std::vector<double> sorted_;
-  mutable bool sorted_valid_ = false;
+  mutable std::vector<double> samples_;
+  mutable bool is_sorted_ = true;
   double sum_ = 0.0;
   double sum_sq_ = 0.0;
 };
@@ -119,22 +120,17 @@ class Distribution {
 // kernel instructions executed, pages moved, audit denials...). Every cycle
 // charge goes through Increment. The name-sorted index is the source of
 // truth (Snapshot() is therefore deterministically name-ordered); values
-// live in a separate slot array so the literal-named fast path — the
-// `const char*` overload every Machine::Charge call takes — is one
-// StaticNameCache probe plus an array add, with no temporary std::string.
+// live in a separate slot array so Increment — which every Machine::Charge
+// call takes — is one StaticNameCache probe plus an array add, with no
+// temporary std::string. The cache keys on the name's pointer, which
+// StaticName guarantees lives, unchanged, for the whole run.
 class CounterSet {
  public:
-  void Increment(const std::string& name, uint64_t delta = 1) {
-    cells_[SlotFor(name)] += delta;
-  }
-  // Fast path for static-storage names (string literals). The pointer is
-  // cached, so the name must stay valid and its contents stable for the
-  // lifetime of the set.
-  void Increment(const char* name, uint64_t delta = 1) {
-    uint32_t slot = ptr_cache_.Lookup(name);
+  void Increment(StaticName name, uint64_t delta = 1) {
+    uint32_t slot = ptr_cache_.Lookup(name.c_str());
     if (slot == StaticNameCache::kMiss) {
-      slot = SlotFor(name);
-      ptr_cache_.Insert(name, slot);
+      slot = SlotFor(name.c_str());
+      ptr_cache_.Insert(name.c_str(), slot);
     }
     cells_[slot] += delta;
   }

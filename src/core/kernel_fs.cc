@@ -309,7 +309,11 @@ Status Kernel::SegSetLength(Process& caller, SegNo segno, uint32_t pages) {
                                              kModeWrite, gate.c_str(), machine_.clock().now(),
                                              Trusted(caller)));
   MX_RETURN_IF_ERROR(store_.SetLength(uid, pages));
-  // Refresh this process's SDW bound (others refresh on segment fault).
+  // Every holder's SDW carries the old bound, and the processor checks the
+  // bound before it looks at the page table, so a holder left connected
+  // would never fault. Disconnect them all, as ACL and bracket changes do;
+  // the others reconnect with the new bound at their next touch.
+  DisconnectSdwsFor(uid);
   return ConnectSdw(caller, segno, uid);
 }
 

@@ -11,8 +11,8 @@ PageControlBase::PageControlBase(Machine* machine, CoreMap* core_map, PagingDevi
                                  PagingDevice* disk, ReplacementPolicy* policy)
     : machine_(machine), core_map_(core_map), bulk_(bulk), disk_(disk), policy_(policy) {}
 
-void PageControlBase::ChargeStep(const char* category, Cycles cycles) {
-  machine_->Charge(cycles, category);
+void PageControlBase::ChargeStep(Cycles cycles) {
+  machine_->Charge(cycles, "page_control_cpu");
 }
 
 Status PageControlBase::ReadSyncUnlocked(PagingDevice* device, DevAddr addr,
@@ -58,7 +58,7 @@ Status PageControlBase::FetchIntoFrameSync(ActiveSegment* seg, PageNo page, Fram
   switch (loc.level) {
     case PageLevel::kZero: {
       machine_->core().ZeroPage(frame);
-      ChargeStep("page_control_cpu", 20);
+      ChargeStep(20);
       ++metrics_.zero_fills;
       machine_->meter().Emit(TraceEventKind::kPageFetch, "fetch_zero", page);
       break;

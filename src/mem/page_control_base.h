@@ -61,8 +61,8 @@ class PageControlBase : public PageControl {
   void RemoveBulkResident(ActiveSegment* seg, PageNo page);
   bool PopBulkResident(ActiveSegment** seg, PageNo* page);
 
-  // Charges CPU time for a protected page-control step.
-  void ChargeStep(const char* category, Cycles cycles = 40);
+  // Charges CPU time for a protected page-control step ("page_control_cpu").
+  void ChargeStep(Cycles cycles = 40);
 
   // Synchronous transfers with the page-table lock suspended for the wait:
   // on the multiprocessor another CPU may enter page control while this one

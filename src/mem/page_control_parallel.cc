@@ -42,7 +42,7 @@ Status ParallelPageControl::EnsureResident(ActiveSegment* seg, PageNo page, Acce
   // events nest under this span in the attribution profile.
   TraceSpan fault_span(&machine_->meter(), "page/fault_service", page);
   const Cycles start = machine_->local_now();
-  ChargeStep("page_control_cpu", 30);  // The whole fault path: wait + initiate.
+  ChargeStep(30);  // The whole fault path: wait + initiate.
 
   // The daemons run concurrently with this fault, so the page's location can
   // change while we wait for a frame; the loop re-examines it each time.

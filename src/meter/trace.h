@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/static_name.h"
 
 namespace multics {
 
@@ -46,22 +47,6 @@ enum class TraceEventKind : uint8_t {
 };
 
 inline constexpr size_t kTraceEventKindCount = static_cast<size_t>(TraceEventKind::kSpanEnd) + 1;
-
-// A name the meter may keep by pointer for the whole run: the flight
-// recorder stores it and the meter's lookaside caches key on it. The
-// constructor is consteval and takes only a char array, so the name must be
-// a string literal or another array with static storage; a `const char*`
-// variable, a std::string, or a stack buffer does not compile.
-class StaticName {
- public:
-  template <size_t N>
-  consteval StaticName(const char (&name)[N]) : name_(name) {}
-
-  constexpr const char* c_str() const { return name_; }
-
- private:
-  const char* name_;
-};
 
 const char* TraceEventKindName(TraceEventKind kind);
 

@@ -544,7 +544,8 @@ std::string ModelChecker::ApplyAndCheck(World* world, const Op& op,
 
   // (4) Connection sweep: every (process, segment) descriptor matches the
   // oracle's mirror — connected exactly when the trace says, holding exactly
-  // the modes derived at connect time, usage counts agreeing.
+  // the modes derived at connect time and the segment's current length,
+  // usage counts agreeing.
   for (size_t i = 0; i < world->procs.size() && out->size() < kMaxViolations; ++i) {
     Process& proc = *world->procs[i];
     for (size_t s = 0; s < world->seg_uids.size(); ++s) {
@@ -569,11 +570,20 @@ std::string ModelChecker::ApplyAndCheck(World* world, const Op& op,
                          " (revocation not applied?)",
                      out);
       } else if (connected) {
-        const uint8_t held = SdwModes(proc.dseg().Get(segno.value()));
+        const SegmentDescriptor& sdw = proc.dseg().Get(segno.value());
+        const uint8_t held = SdwModes(sdw);
         if (held != conn.modes) {
           AddViolation(*world, "oracle-diff",
                        OracleWitness(proc, segno.value(), world->seg_uids[s], held, conn.modes,
                                      oracle.subjects[i], oracle.objects[s]),
+                       out);
+        } else if (sdw.length_pages != oracle.objects[s].pages) {
+          AddViolation(*world, "oracle-diff",
+                       "p" + std::to_string(i) + "/s" + std::to_string(s) +
+                           " descriptor bound is " + std::to_string(sdw.length_pages) +
+                           " page(s) but the oracle mirror says " +
+                           std::to_string(oracle.objects[s].pages) +
+                           " (length change not applied?)",
                        out);
         }
       }

@@ -179,7 +179,9 @@ void OracleWorld::OnSetBrackets(size_t s, const OracleBrackets& brackets) {
 
 void OracleWorld::OnSetLength(size_t p, size_t s, uint32_t pages) {
   objects[s].pages = pages;
-  // The kernel refreshes the caller's own descriptor in the same gate.
+  // Every holder's descriptor carries the old length, so all of them are
+  // disconnected; the caller's own is rebuilt in the same gate.
+  DisconnectAll(s);
   OracleConnection& c = conn[p][s];
   if (c.usage > 0) {
     c.connected = true;

@@ -10,7 +10,7 @@ namespace multics {
 
 Machine& TaskContext::machine() { return *controller_->machine_; }
 
-void TaskContext::Charge(Cycles n, const char* category) {
+void TaskContext::Charge(Cycles n, StaticName category) {
   controller_->machine_->Charge(n, category);
   self_->accounting().cpu_used += n;
 }

@@ -152,73 +152,38 @@ TEST(EventQueueTest, SameTimeIsFifo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueueTest, CancelPreventsDispatch) {
-  SimClock clock;
-  EventQueue q(&clock);
-  bool ran = false;
-  uint64_t id = q.ScheduleAfter(5, [&] { ran = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  q.RunUntilIdle();
-  EXPECT_FALSE(ran);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, CancelOfDispatchedOrCancelledIdReturnsFalse) {
-  SimClock clock;
-  EventQueue q(&clock);
-  uint64_t ran_id = q.ScheduleAfter(5, [] {});
-  uint64_t cancelled_id = q.ScheduleAfter(6, [] {});
-  EXPECT_TRUE(q.Cancel(cancelled_id));
-  EXPECT_FALSE(q.Cancel(cancelled_id));  // Second cancel: already cancelled.
-  q.RunUntilIdle();
-  EXPECT_FALSE(q.Cancel(ran_id));  // Already dispatched.
-  EXPECT_FALSE(q.Cancel(0));       // Never a valid id.
-  EXPECT_TRUE(q.empty());
-}
-
-// Regression for the unbounded-`cancelled_` design this queue replaced: a
-// schedule/cancel storm of 100k events must leave pending()==0, dispatch
-// nothing, and hold memory bounded — slots recycle through the freelist and
-// heap tombstones are pruned, so neither the slab nor the heap grows with
-// the number of cancellations.
-TEST(EventQueueTest, HundredThousandCancelsStayBounded) {
+// The slab grows with the peak pending population, never with the number
+// of events served: a dispatched event's slot goes back on the freelist
+// before the next schedule, so a storm of 100k schedule-then-dispatch
+// cycles stays in one block, and a second wave of 100k pending events
+// reuses the nodes the first wave left behind.
+TEST(EventQueueTest, SlabFollowsPendingEventsNotEventsServed) {
   SimClock clock;
   EventQueue q(&clock);
   int ran = 0;
 
-  // Interleaved: each cancel recycles the slot the next schedule reuses.
   for (int i = 0; i < 100000; ++i) {
-    EXPECT_TRUE(q.Cancel(q.ScheduleAfter(10, [&] { ++ran; })));
+    q.ScheduleAfter(10, [&] { ++ran; });
+    ASSERT_TRUE(q.RunOne());
   }
-  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(ran, 100000);
+  EXPECT_TRUE(q.empty());
   EXPECT_LE(q.slab_slots(), 64u);  // One block, recycled 100k times.
-  EXPECT_LE(q.heap_slots(), 64u);  // Tombstones pruned as they accumulate.
 
-  // Bulk: 100k live at once, then all cancelled. The slab must not exceed
-  // the peak live population and a fresh wave must reuse it, not extend it.
-  std::vector<uint64_t> ids;
-  ids.reserve(100000);
   for (int i = 0; i < 100000; ++i) {
-    ids.push_back(q.ScheduleAfter(10 + i, [&] { ++ran; }));
+    q.ScheduleAfter(10 + i, [&] { ++ran; });
   }
+  EXPECT_EQ(q.pending(), 100000u);
   const size_t peak_slab = q.slab_slots();
-  for (uint64_t id : ids) {
-    EXPECT_TRUE(q.Cancel(id));
-  }
-  EXPECT_EQ(q.pending(), 0u);
-  EXPECT_LE(q.heap_slots(), 100000u);
-  EXPECT_EQ(q.RunUntilIdle(), 0u);
-  EXPECT_EQ(ran, 0);
+  EXPECT_EQ(q.RunUntilIdle(), 100000u);
 
-  ids.clear();
   for (int i = 0; i < 100000; ++i) {
-    ids.push_back(q.ScheduleAfter(10 + i, [&] { ++ran; }));
+    q.ScheduleAfter(10 + i, [&] { ++ran; });
   }
   EXPECT_EQ(q.slab_slots(), peak_slab);  // Recycled, not regrown.
-  for (uint64_t id : ids) {
-    EXPECT_TRUE(q.Cancel(id));
-  }
-  EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.RunUntilIdle(), 100000u);
+  EXPECT_EQ(ran, 300000);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, RunUntilStopsAtDeadline) {
@@ -271,6 +236,43 @@ TEST(DistributionTest, Percentiles) {
   EXPECT_DOUBLE_EQ(d.Percentile(0.99), 99.0);
   EXPECT_DOUBLE_EQ(d.Percentile(1.0), 100.0);
   EXPECT_DOUBLE_EQ(d.Percentile(0.0), 1.0);
+}
+
+// A percentile read sorts the samples in place; samples added after it must
+// be sorted in before the next read.
+TEST(DistributionTest, SamplesAddedAfterAPercentileReadAreSortedIn) {
+  Distribution d;
+  for (int i = 10; i >= 1; --i) {
+    d.Add(i);
+  }
+  EXPECT_DOUBLE_EQ(d.Percentile(0.5), 5.0);
+  EXPECT_DOUBLE_EQ(d.Percentile(1.0), 10.0);
+  d.Add(0.5);
+  d.Add(20.0);
+  d.Add(5.5);
+  EXPECT_EQ(d.count(), 13u);
+  EXPECT_DOUBLE_EQ(d.Percentile(0.0), 0.5);
+  EXPECT_DOUBLE_EQ(d.Percentile(0.5), 5.5);  // Rank 7 of 13.
+  EXPECT_DOUBLE_EQ(d.Percentile(1.0), 20.0);
+}
+
+// min, max, mean and stddev do not depend on sample order, so sorting in
+// place leaves them bit-for-bit unchanged.
+TEST(DistributionTest, InPlaceSortLeavesMomentsUnchanged) {
+  Distribution d;
+  for (double x : {7.25, -3.0, 11.5, 0.125, 4.0, 4.0, 99.0, -0.5}) {
+    d.Add(x);
+  }
+  const double min = d.min();
+  const double max = d.max();
+  const double mean = d.mean();
+  const double stddev = d.stddev();
+  EXPECT_DOUBLE_EQ(d.Percentile(0.5), 4.0);
+  EXPECT_EQ(d.min(), min);
+  EXPECT_EQ(d.max(), max);
+  EXPECT_EQ(d.mean(), mean);
+  EXPECT_EQ(d.stddev(), stddev);
+  EXPECT_EQ(d.count(), 8u);
 }
 
 TEST(CounterSetTest, IncrementAndGet) {

@@ -253,6 +253,37 @@ TEST_F(KernelTest, AclChangeTakesEffectOnNextTouch) {
   EXPECT_TRUE(kernel_->cpu().Read(segno, 0).ok());
 }
 
+// A length change reaches every holder, not just the caller: the processor
+// checks an SDW's bound before its page table, so a holder whose SDW kept
+// the old bound would never take the fault that refreshes it.
+TEST_F(KernelTest, LengthChangeReachesEveryHolder) {
+  SegNo segno = MakeSegment("shared", RwForAll());
+  auto colleague = kernel_->BootstrapProcess("smith", Principal{"Smith", "Faculty", "a"},
+                                             MlsLabel{SensitivityLevel::kSecret, {}});
+  ASSERT_TRUE(colleague.ok());
+  Process& smith = *colleague.value();
+  auto shared = kernel_->Initiate(smith, HomeDir(smith), "shared");
+  ASSERT_TRUE(shared.ok());
+  ASSERT_EQ(kernel_->RunAs(smith), Status::kOk);
+  ASSERT_TRUE(kernel_->cpu().Read(shared->segno, 0).ok());
+
+  // The owner grows the segment and writes the new page; the colleague
+  // reads it.
+  ASSERT_EQ(kernel_->SegSetLength(*user_, segno, 2), Status::kOk);
+  ASSERT_EQ(kernel_->RunAs(*user_), Status::kOk);
+  ASSERT_EQ(kernel_->cpu().Write(segno, kPageWords, 42), Status::kOk);
+  ASSERT_EQ(kernel_->RunAs(smith), Status::kOk);
+  auto grown = kernel_->cpu().Read(shared->segno, kPageWords);
+  ASSERT_EQ(grown.status(), Status::kOk);
+  EXPECT_EQ(grown.value(), 42u);
+
+  // Truncation takes the page away from the colleague as well.
+  ASSERT_EQ(kernel_->SegSetLength(*user_, segno, 1), Status::kOk);
+  ASSERT_EQ(kernel_->RunAs(smith), Status::kOk);
+  EXPECT_EQ(kernel_->cpu().Read(shared->segno, kPageWords).status(), Status::kOutOfRange);
+  EXPECT_TRUE(kernel_->cpu().Read(shared->segno, 0).ok());
+}
+
 TEST_F(KernelTest, KstStatusListsKnownSegments) {
   MakeSegment("a", RwForAll());
   MakeSegment("b", RwForAll());

@@ -358,6 +358,21 @@ static_assert(!std::is_constructible_v<TraceSpan, Meter*, std::string>);
 static_assert(!std::is_constructible_v<GateSpan, Kernel*, Process&, const char*>);
 static_assert(!std::is_constructible_v<GateSpan, Kernel*, Process&, std::string>);
 
+// Cycle-charge categories fall under the same contract: the machine's
+// CounterSet caches each category by pointer.
+template <typename Name>
+concept MachineChargeAccepts = requires(Machine& machine, Name name) { machine.Charge(1, name); };
+template <typename Name>
+concept TaskChargeAccepts = requires(TaskContext& ctx, Name name) { ctx.Charge(1, name); };
+template <typename Name>
+concept IncrementAccepts = requires(CounterSet& counters, Name name) { counters.Increment(name); };
+
+static_assert(MachineChargeAccepts<StaticName> && TaskChargeAccepts<StaticName> &&
+              IncrementAccepts<StaticName>);
+static_assert(!MachineChargeAccepts<const char*> && !MachineChargeAccepts<std::string>);
+static_assert(!TaskChargeAccepts<const char*> && !TaskChargeAccepts<std::string>);
+static_assert(!IncrementAccepts<const char*> && !IncrementAccepts<std::string>);
+
 TEST(MeterTest, SameSpellingFromTwoArraysMergesIntoOneRow) {
   SimClock clock;
   Meter meter(&clock, /*recorder_capacity=*/64);
