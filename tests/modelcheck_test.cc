@@ -93,6 +93,18 @@ TEST(ModelCheckTest, DepthBoundedExplorationIsDeterministic) {
   EXPECT_FALSE(a.stats.fixed_point);  // Depth 2 truncates on purpose.
 }
 
+// With seg_set_length in the alphabet, every connected descriptor must carry
+// the segment's current length: the shortest way to break that is two
+// holders and one length change, so depth 3 suffices.
+TEST(ModelCheckTest, LengthChangesReachEveryConnectedDescriptor) {
+  McConfig config = Shallow();
+  config.with_seg_set_length = true;
+  config.max_depth = 3;
+  ModelChecker checker(config);
+  const McResult result = checker.Explore();
+  EXPECT_TRUE(result.clean()) << result.ToString();
+}
+
 TEST(ModelCheckTest, FuzzAgreesWithOracleOnTheRealKernel) {
   ModelChecker checker(McConfig::Fast());
   const McResult result = checker.Fuzz(/*seed=*/7, /*ops=*/600);
