@@ -136,7 +136,8 @@ void BM_Dominates(benchmark::State& state) {
 BENCHMARK(BM_Dominates);
 
 void BM_SegmentModesAclOnly(benchmark::State& state) {
-  AuditLog audit;
+  SimClock clock;
+  AuditLog audit(&clock);
   ReferenceMonitor monitor(&audit, /*mls=*/false);
   Branch branch;
   branch.acl.Set(AclEntry{"*", "Faculty", "*", kModeRead});
@@ -150,7 +151,8 @@ void BM_SegmentModesAclOnly(benchmark::State& state) {
 BENCHMARK(BM_SegmentModesAclOnly);
 
 void BM_SegmentModesWithMls(benchmark::State& state) {
-  AuditLog audit;
+  SimClock clock;
+  AuditLog audit(&clock);
   ReferenceMonitor monitor(&audit, /*mls=*/true);
   Branch branch;
   branch.acl.Set(AclEntry{"*", "Faculty", "*", kModeRead});

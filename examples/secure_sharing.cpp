@@ -7,6 +7,8 @@
 // Run: ./build/examples/secure_sharing
 
 #include <cstdio>
+#include <string>
+#include <string_view>
 
 #include "src/init/bootstrap.h"
 
@@ -125,8 +127,12 @@ int main() {
   CHECK(kernel.audit().denials() == 1);
   for (const AuditRecord& record : kernel.audit().recent()) {
     if (record.outcome != Status::kOk) {
+      const std::string& principal = kernel.audit().spelling(record.principal);
+      CHECK(principal == "Doe.Students.a");
+      CHECK(std::string_view(record.operation.c_str()) == "initiate_seg");
+      CHECK(record.outcome == Status::kMlsReadViolation);
       std::printf("  t=%-8llu %-24s %-16s uid=%llu %s\n",
-                  static_cast<unsigned long long>(record.time), record.principal.c_str(),
+                  static_cast<unsigned long long>(record.time), principal.c_str(),
                   record.operation.c_str(), static_cast<unsigned long long>(record.uid),
                   StatusName(record.outcome).data());
     }

@@ -131,7 +131,7 @@ void StaticCertifier::CheckGates(AuditReport* report) {
 void StaticCertifier::CheckAccessDerivation(AuditReport* report) {
   ReferenceMonitor& monitor = kernel_->monitor();
   for (Process* p : ProcessesSorted(kernel_)) {
-    const bool trusted = Kernel::Trusted(*p);
+    const bool trusted = ReferenceMonitor::Trusted(*p);
     p->dseg().ForEachValid([&](SegNo segno, const SegmentDescriptor& sdw) {
       if (sdw.uid == kInvalidUid || !kernel_->store().Exists(sdw.uid)) {
         return;
@@ -325,7 +325,7 @@ void StaticCertifier::CheckSchedulerIsolation(AuditReport* report) {
     // (b) Isolation: snapshot the modes every SDW derives, permute the
     // process through every (work class, feedback level) pair, and demand
     // the derivation is unchanged — scheduling may reorder, never widen.
-    const bool trusted = Kernel::Trusted(*p);
+    const bool trusted = ReferenceMonitor::Trusted(*p);
     const uint32_t saved_class = p->work_class();
     const uint32_t saved_level = p->sched_level();
     auto derive = [&](SegNo segno) -> int {

@@ -1,50 +1,36 @@
 #include "src/core/audit.h"
 
+#include <numeric>
+
 namespace multics {
 
-void AuditLog::Record(Cycles time, std::string_view principal, std::string_view operation,
-                      Uid uid, Status outcome) {
-  recent_.push_back(
-      AuditRecord{time, std::string(principal), std::string(operation), uid, outcome});
-  if (recent_.size() > keep_recent_) {
+PrincipalId AuditLog::Intern(const std::string& spelling) {
+  auto [it, added] = ids_.try_emplace(spelling, static_cast<PrincipalId>(spellings_.size()));
+  if (added) {
+    spellings_.push_back(&it->first);
+  }
+  return it->second;
+}
+
+void AuditLog::Record(PrincipalId principal, StaticName operation, Uid uid, Status outcome) {
+  recent_.push_back(AuditRecord{clock_->now(), principal, operation, uid, outcome});
+  if (recent_.size() > kWindow) {
     recent_.pop_front();
   }
-  if (outcome == Status::kOk) {
-    ++grants_;
-    return;
-  }
-  ++denials_;
-  ++denials_by_status_[static_cast<int32_t>(outcome)];
-  switch (outcome) {
-    case Status::kMlsReadViolation:
-    case Status::kMlsWriteViolation:
-      ++mls_denials_;
-      break;
-    case Status::kAccessDenied:
-      ++acl_denials_;
-      break;
-    case Status::kRingViolation:
-    case Status::kNotAGate:
-      ++ring_denials_;
-      break;
-    default:
-      break;
-  }
+  ++counts_[static_cast<size_t>(outcome)];
+}
+
+uint64_t AuditLog::denials() const {
+  return std::accumulate(counts_.begin(), counts_.end(), uint64_t{0}) - grants();
 }
 
 uint64_t AuditLog::denials_with(Status status) const {
-  auto it = denials_by_status_.find(static_cast<int32_t>(status));
-  return it == denials_by_status_.end() ? 0 : it->second;
+  return status == Status::kOk ? 0 : counts_[static_cast<size_t>(status)];
 }
 
 void AuditLog::Clear() {
   recent_.clear();
-  grants_ = 0;
-  denials_ = 0;
-  mls_denials_ = 0;
-  acl_denials_ = 0;
-  ring_denials_ = 0;
-  denials_by_status_.clear();
+  counts_.fill(0);
 }
 
 }  // namespace multics

@@ -6,60 +6,62 @@
 #ifndef SRC_CORE_AUDIT_H_
 #define SRC_CORE_AUDIT_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "src/base/clock.h"
+#include "src/base/static_name.h"
 #include "src/base/status.h"
 #include "src/fs/branch.h"
 
 namespace multics {
 
+// A decision, held by reference: the principal's interned spelling and the
+// operation's static name, so recording one copies no string.
 struct AuditRecord {
-  Cycles time = 0;
-  std::string principal;
-  std::string operation;
-  Uid uid = kInvalidUid;
-  Status outcome = Status::kOk;
+  Cycles time;
+  PrincipalId principal;
+  StaticName operation;
+  Uid uid;
+  Status outcome;
 };
 
 class AuditLog {
  public:
-  explicit AuditLog(uint32_t keep_recent = 1024) : keep_recent_(keep_recent) {}
+  // The most recent decisions kept for display; the counts cover the run.
+  static constexpr size_t kWindow = 1024;
 
-  // string_view parameters so the (very hot) call sites passing literals and
-  // cached principal strings build no temporaries; the copies happen once,
-  // into the stored record.
-  void Record(Cycles time, std::string_view principal, std::string_view operation, Uid uid,
-              Status outcome);
+  // Records are stamped with `clock`'s time.
+  explicit AuditLog(const SimClock* clock) : clock_(clock) {}
 
-  uint64_t grants() const { return grants_; }
-  uint64_t denials() const { return denials_; }
-  // Lifetime count of denials with exactly this status. Backed by counters,
-  // not the bounded `recent_` window, so it stays correct on long runs.
+  // The id of `spelling`, added on first use. Ids survive Clear().
+  PrincipalId Intern(const std::string& spelling);
+  const std::string& spelling(PrincipalId id) const { return *spellings_[id]; }
+
+  void Record(PrincipalId principal, StaticName operation, Uid uid, Status outcome);
+
+  uint64_t grants() const { return counts_[static_cast<size_t>(Status::kOk)]; }
+  uint64_t denials() const;
+  // Lifetime count of denials with exactly this status (0 for kOk).
   uint64_t denials_with(Status status) const;
-
-  // Lifetime per-category counts (MLS = read-up/write-down, ACL, rings).
-  uint64_t mls_denials() const { return mls_denials_; }
-  uint64_t acl_denials() const { return acl_denials_; }
-  uint64_t ring_denials() const { return ring_denials_; }
 
   const std::deque<AuditRecord>& recent() const { return recent_; }
 
+  // Forgets the window and the counts.
   void Clear();
 
  private:
-  uint32_t keep_recent_;
+  const SimClock* clock_;
+  std::unordered_map<std::string, PrincipalId> ids_;
+  std::vector<const std::string*> spellings_;  // Keys of ids_, by id.
   std::deque<AuditRecord> recent_;
-  uint64_t grants_ = 0;
-  uint64_t denials_ = 0;
-  uint64_t mls_denials_ = 0;
-  uint64_t acl_denials_ = 0;
-  uint64_t ring_denials_ = 0;
-  std::unordered_map<int32_t, uint64_t> denials_by_status_;
+  // One count per Status, indexed by its value; kProcessCrashed is the largest.
+  std::array<uint64_t, static_cast<size_t>(Status::kProcessCrashed) + 1> counts_{};
 };
 
 }  // namespace multics

@@ -54,23 +54,13 @@ int32_t GateTable::IndexOf(std::string_view name) const {
   return -1;
 }
 
-Status GateTable::RecordCall(const std::string& name) {
-  const int32_t index = IndexOf(name);
-  if (index < 0) {
-    return Status::kNotAGate;
-  }
-  ++gates_[static_cast<size_t>(index)].calls;
-  ++total_calls_;
-  return Status::kOk;
-}
-
-int32_t GateTable::RecordCallIndexed(const char* name) {
-  uint32_t cached = name_cache_.Lookup(name);
+int32_t GateTable::RecordCallIndexed(StaticName name) {
+  uint32_t cached = name_cache_.Lookup(name.c_str());
   if (cached == StaticNameCache::kMiss) {
     // First call through this pointer: resolve by contents, remember the
     // verdict (index + 1; 0 encodes "not a gate here") for every later call.
-    cached = static_cast<uint32_t>(IndexOf(name) + 1);
-    name_cache_.Insert(name, cached);
+    cached = static_cast<uint32_t>(IndexOf(name.c_str()) + 1);
+    name_cache_.Insert(name.c_str(), cached);
   }
   if (cached == 0) {
     return -1;

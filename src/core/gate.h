@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/base/result.h"
+#include "src/base/static_name.h"
 #include "src/base/stats.h"
 
 namespace multics {
@@ -44,15 +45,11 @@ class GateTable {
   Status Register(const std::string& name, GateCategory category);
   bool Has(const std::string& name) const;
 
-  // Counts a call through the gate; kNotAGate if it was never registered in
-  // this configuration (i.e. the mechanism was removed from the kernel).
-  Status RecordCall(const std::string& name);
-
-  // Hot-path variant for static-storage names (every MX_ENTER_GATE site
-  // passes a literal): pointer-cached index lookup, no string compare after
-  // the first call per site. Returns the gate's index, or -1 when the
-  // mechanism is not in this configuration (the RecordCall kNotAGate case).
-  int32_t RecordCallIndexed(const char* name);
+  // Counts a call through the gate and returns its index, or -1 when the
+  // gate was never registered in this configuration (the mechanism was
+  // removed from the kernel). The lookup is cached by the name's pointer, so
+  // there is no string compare after the first call per name.
+  int32_t RecordCallIndexed(StaticName name);
 
   uint32_t count() const { return static_cast<uint32_t>(gates_.size()); }
   uint32_t CountByCategory(GateCategory category) const;

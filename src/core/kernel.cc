@@ -58,7 +58,7 @@ Kernel::Kernel(const KernelParams& params)
       policy_(MakePolicy(params_.replacement_policy)),
       store_(&machine_, &ast_, &disk_),
       hierarchy_(&store_),
-      audit_(),
+      audit_(&machine_.clock()),
       monitor_(&audit_, params_.config.mls_enforcement),
       traffic_(&machine_, params_.virtual_processors),
       network_(&machine_, NetworkAttachment::Config{}) {
@@ -159,12 +159,11 @@ GateSpan::~GateSpan() {
 }
 
 Status Kernel::EnterGate(Process& caller, StaticName name, int32_t* gate_index) {
-  const int32_t index = gates_.RecordCallIndexed(name.c_str());
+  const int32_t index = gates_.RecordCallIndexed(name);
   if (index < 0) {
     // The mechanism is not part of this configuration's kernel: there is no
     // such gate in the descriptor, so the hardware would fault the call.
-    audit_.Record(machine_.clock().now(), caller.principal_string(), name.c_str(), kInvalidUid,
-                  Status::kNotAGate);
+    audit_.Record(caller.principal_id(), name, kInvalidUid, Status::kNotAGate);
     return Status::kNotAGate;
   }
   // Injection point: crash the calling process inside this gate after a
@@ -179,8 +178,7 @@ Status Kernel::EnterGate(Process& caller, StaticName name, int32_t* gate_index) 
       if (d.delay > 0) {
         machine_.Charge(d.delay, "fault_path");
       }
-      audit_.Record(machine_.clock().now(), caller.principal_string(), name.c_str(),
-                    kInvalidUid, d.fault);
+      audit_.Record(caller.principal_id(), name, kInvalidUid, d.fault);
       return d.fault;
     }
   }
@@ -219,6 +217,7 @@ Result<Process*> Kernel::BootstrapProcess(const std::string& name, const Princip
   if (!process.ok()) {
     return process.status();
   }
+  process.value()->set_principal_id(audit_.Intern(principal.ToString()));
   fault_sinks_[process.value()->pid()] =
       std::make_unique<KernelFaultSink>(this, process.value());
   return process;
@@ -239,8 +238,7 @@ Result<Process*> Kernel::ProcCreate(Process& caller, const std::string& name,
   }
   auto process = BootstrapProcess(name, effective, label, std::move(program));
   if (process.ok()) {
-    audit_.Record(machine_.clock().now(), caller.principal_string(), "proc_create",
-                  kInvalidUid, Status::kOk);
+    audit_.Record(caller.principal_id(), "proc_create", kInvalidUid, Status::kOk);
   }
   return process;
 }
@@ -250,14 +248,13 @@ Status Kernel::ProcDestroy(Process& caller, ProcessId pid) {
   return DestroyProcess(caller, pid, "proc_destroy");
 }
 
-Status Kernel::DestroyProcess(Process& caller, ProcessId pid, const char* operation) {
+Status Kernel::DestroyProcess(Process& caller, ProcessId pid, StaticName operation) {
   Process* victim = traffic_.Find(pid);
   if (victim == nullptr) {
     return Status::kNoSuchProcess;
   }
   if (caller.ring() > kRingSupervisor && victim->principal() != caller.principal()) {
-    audit_.Record(machine_.clock().now(), caller.principal_string(), operation, kInvalidUid,
-                  Status::kAccessDenied);
+    audit_.Record(caller.principal_id(), operation, kInvalidUid, Status::kAccessDenied);
     return Status::kAccessDenied;
   }
   if (victim == traffic_.running()) {
@@ -340,7 +337,8 @@ Status Kernel::ConnectSdw(Process& process, SegNo segno, Uid uid) {
     sdw.uid = uid;
   } else {
     uint8_t modes =
-        monitor_.SegmentModes(*branch, process.principal(), process.clearance(), Trusted(process));
+        monitor_.SegmentModes(*branch, process.principal(), process.clearance(),
+                              ReferenceMonitor::Trusted(process));
     MX_ASSIGN_OR_RETURN(ActiveSegment * seg, store_.Activate(uid));
     sdw = monitor_.BuildSdw(*branch, modes, &seg->page_table);
     sdw.length_pages = seg->pages;
@@ -377,20 +375,19 @@ size_t Kernel::trailer_count() const {
   return total;
 }
 
-Result<SegNo> Kernel::InitiateKnown(Process& caller, Uid uid, const char* operation) {
+Result<SegNo> Kernel::InitiateKnown(Process& caller, Uid uid, StaticName operation) {
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   ++address_space_ops_;
 
   if (!branch->is_directory) {
     uint8_t modes =
-        monitor_.SegmentModes(*branch, caller.principal(), caller.clearance(), Trusted(caller));
+        monitor_.SegmentModes(*branch, caller.principal(), caller.clearance(),
+                              ReferenceMonitor::Trusted(caller));
     if (modes == kModeNull) {
-      audit_.Record(machine_.clock().now(), caller.principal_string(), operation, uid,
-                    Status::kAccessDenied);
+      audit_.Record(caller.principal_id(), operation, uid, Status::kAccessDenied);
       return Status::kAccessDenied;
     }
-    audit_.Record(machine_.clock().now(), caller.principal_string(), operation, uid,
-                  Status::kOk);
+    audit_.Record(caller.principal_id(), operation, uid, Status::kOk);
   }
 
   bool already_known = caller.kst().IsKnown(uid);
@@ -514,27 +511,25 @@ Result<Process*> Kernel::LoginLegacy(Process& caller, const std::string& person,
                                      const std::string& project, const std::string& password,
                                      const MlsLabel& clearance) {
   MX_ENTER_GATE(caller, "login");
+  const PrincipalId who = audit_.Intern(person + "." + project);
   auto max_clearance = CheckPassword(person, project, password);
   if (!max_clearance.ok()) {
-    audit_.Record(machine_.clock().now(), person + "." + project, "login", kInvalidUid,
-                  Status::kAuthenticationFailed);
+    audit_.Record(who, "login", kInvalidUid, Status::kAuthenticationFailed);
     return max_clearance.status();
   }
   if (!max_clearance->Dominates(clearance)) {
-    audit_.Record(machine_.clock().now(), person + "." + project, "login", kInvalidUid,
-                  Status::kMlsReadViolation);
+    audit_.Record(who, "login", kInvalidUid, Status::kMlsReadViolation);
     return Status::kAccessDenied;
   }
-  audit_.Record(machine_.clock().now(), person + "." + project, "login", kInvalidUid,
-                Status::kOk);
+  audit_.Record(who, "login", kInvalidUid, Status::kOk);
   return BootstrapProcess(person + "_process", Principal{person, project, "a"}, clearance);
 }
 
 Status Kernel::Logout(Process& caller, ProcessId session) {
   MX_ENTER_GATE(caller, "logout");
-  const std::string principal = caller.principal_string();  // A session may end itself.
+  const PrincipalId principal = caller.principal_id();  // A session may end itself.
   MX_RETURN_IF_ERROR(DestroyProcess(caller, session, "logout"));
-  audit_.Record(machine_.clock().now(), principal, "logout", kInvalidUid, Status::kOk);
+  audit_.Record(principal, "logout", kInvalidUid, Status::kOk);
   return Status::kOk;
 }
 

@@ -85,9 +85,6 @@ class Kernel {
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
 
-  // Bell-LaPadula trusted subjects: the kernel's own services (ring <= 1).
-  static bool Trusted(const Process& process) { return process.ring() <= kRingSupervisor; }
-
   // --- Subsystem access ---------------------------------------------------
   Machine& machine() { return machine_; }
   const KernelConfiguration& config() const { return params_.config; }
@@ -327,7 +324,7 @@ class Kernel {
   void ChargeGateCrossing(uint32_t arg_words);
 
   // Initiation tail shared by all addressing flavours.
-  Result<SegNo> InitiateKnown(Process& caller, Uid uid, const char* operation);
+  Result<SegNo> InitiateKnown(Process& caller, Uid uid, StaticName operation);
   // Connects (or reconnects) the SDW for a known segment, adding its trailer
   // on the first connection.
   Status ConnectSdw(Process& process, SegNo segno, Uid uid);
@@ -335,7 +332,7 @@ class Kernel {
   void DisconnectSdwsFor(Uid uid);
 
   Result<Uid> ResolveDirSegno(Process& caller, SegNo dir_segno) const;
-  Result<Uid> ResolvePathChecked(Process& caller, const std::string& path, const char* op);
+  Result<Uid> ResolvePathChecked(Process& caller, const std::string& path, StaticName op);
 
   // Drops one initiation (or, when force, all of them): the SDW, KST entry,
   // store reference, trailer, and legacy naming residue go away only when
@@ -348,7 +345,7 @@ class Kernel {
   // `pid` (auditing a refusal under `operation`), force-releases every KST
   // entry, drops the legacy naming state and fault sink, unbinds the process
   // from every CPU and from current_, and has the traffic controller erase it.
-  Status DestroyProcess(Process& caller, ProcessId pid, const char* operation);
+  Status DestroyProcess(Process& caller, ProcessId pid, StaticName operation);
 
   void RegisterGates();
 

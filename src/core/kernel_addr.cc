@@ -30,9 +30,7 @@ Result<InitiateResult> Kernel::Initiate(Process& caller, SegNo dir_segno,
   if (!dir_branch->is_directory) {
     return Status::kNotADirectory;
   }
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "initiate_seg",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirStatus, "initiate_seg"));
   MX_ASSIGN_OR_RETURN(DirEntry entry, hierarchy_.Lookup(dir_uid, name));
 
   InitiateResult result;
@@ -47,7 +45,8 @@ Result<InitiateResult> Kernel::Initiate(Process& caller, SegNo dir_segno,
   MX_ASSIGN_OR_RETURN(result.segno, InitiateKnown(caller, entry.uid, "initiate_seg"));
   if (!branch->is_directory) {
     result.granted_modes =
-        monitor_.SegmentModes(*branch, caller.principal(), caller.clearance(), Trusted(caller));
+        monitor_.SegmentModes(*branch, caller.principal(), caller.clearance(),
+                              ReferenceMonitor::Trusted(caller));
   }
   return result;
 }
@@ -60,7 +59,7 @@ Status Kernel::Terminate(Process& caller, SegNo segno) {
 // --- Legacy pathname addressing -------------------------------------------------------
 
 Result<Uid> Kernel::ResolvePathChecked(Process& caller, const std::string& path_text,
-                                       const char* op) {
+                                       StaticName op) {
   MX_ASSIGN_OR_RETURN(Path path, Path::Parse(path_text));
   // Ring-0 pathname walk with per-directory access checks and link chasing:
   // exactly the complex mechanism the kernelized design evicts.
@@ -77,9 +76,7 @@ Result<Uid> Kernel::ResolvePathChecked(Process& caller, const std::string& path_
     }
     machine_.Charge(kPathComponentCycles, "kernel_path_walk");
     ++address_space_ops_;
-    MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                                 caller.clearance(), kDirStatus, op,
-                                                 machine_.clock().now(), Trusted(caller)));
+    MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirStatus, op));
     std::string component = pending.back();
     pending.pop_back();
     MX_ASSIGN_OR_RETURN(DirEntry entry, hierarchy_.Lookup(current, component));
@@ -123,7 +120,8 @@ Result<BranchStatus> Kernel::FsStatusPath(Process& caller, const std::string& pa
   status.is_directory = branch->is_directory;
   status.pages = branch->pages;
   status.mode_string = SegmentModeString(
-      monitor_.SegmentModes(*branch, caller.principal(), caller.clearance(), Trusted(caller)));
+      monitor_.SegmentModes(*branch, caller.principal(), caller.clearance(),
+                            ReferenceMonitor::Trusted(caller)));
   status.label = branch->label.ToString();
   status.author = branch->author.ToString();
   return status;
@@ -139,9 +137,7 @@ Result<SegNo> Kernel::CreateSegmentPath(Process& caller, const std::string& path
   MX_ASSIGN_OR_RETURN(Uid dir_uid,
                       ResolvePathChecked(caller, parsed.Parent().ToString(), "create_seg_path"));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirAppend,
-                                               "create_seg_path", machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirAppend, "create_seg_path"));
   SegmentAttributes effective = attrs;
   effective.author = caller.principal();
   if (params_.config.mls_enforcement) {
@@ -162,9 +158,7 @@ Status Kernel::DeletePath(Process& caller, const std::string& path) {
   MX_ASSIGN_OR_RETURN(Uid dir_uid,
                       ResolvePathChecked(caller, parsed.Parent().ToString(), "delete_path"));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "delete_path",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirModify, "delete_path"));
   return hierarchy_.DeleteEntry(dir_uid, parsed.Leaf());
 }
 
@@ -172,9 +166,7 @@ Result<std::vector<std::string>> Kernel::ListPath(Process& caller, const std::st
   MX_ENTER_GATE(caller, "list_dir_path", 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolvePathChecked(caller, path, "list_dir_path"));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "list_dir_path",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirStatus, "list_dir_path"));
   MX_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, hierarchy_.List(dir_uid));
   std::vector<std::string> names;
   names.reserve(entries.size());
@@ -193,9 +185,7 @@ Status Kernel::SetAclPath(Process& caller, const std::string& path, const AclEnt
   MX_ASSIGN_OR_RETURN(Uid dir_uid,
                       ResolvePathChecked(caller, parsed.Parent().ToString(), "set_acl_path"));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "set_acl_path",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirModify, "set_acl_path"));
   MX_ASSIGN_OR_RETURN(DirEntry entry_found, hierarchy_.Lookup(dir_uid, parsed.Leaf()));
   if (entry_found.is_link) {
     return Status::kInvalidArgument;
@@ -216,9 +206,7 @@ Status Kernel::ChnamePath(Process& caller, const std::string& path,
   MX_ASSIGN_OR_RETURN(Uid dir_uid,
                       ResolvePathChecked(caller, parsed.Parent().ToString(), "chname_path"));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "chname_path",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirModify, "chname_path"));
   return hierarchy_.Rename(dir_uid, parsed.Leaf(), new_name);
 }
 

@@ -23,9 +23,7 @@ Result<Uid> Kernel::FsCreateSegment(Process& caller, SegNo dir_segno, const std:
   MX_ENTER_GATE(caller, "fs_create_seg", 12);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirAppend, "fs_create_seg",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirAppend, "fs_create_seg"));
   SegmentAttributes effective = attrs;
   effective.author = caller.principal();
   if (params_.config.mls_enforcement && caller.ring() > kRingSupervisor) {
@@ -35,8 +33,7 @@ Result<Uid> Kernel::FsCreateSegment(Process& caller, SegNo dir_segno, const std:
   // Nobody mints authority below their own ring at creation either.
   if (!effective.brackets.Valid() ||
       (effective.brackets.write_limit < caller.ring() && caller.ring() > kRingSupervisor)) {
-    audit_.Record(machine_.clock().now(), caller.principal().ToString(), "fs_create_seg",
-                  kInvalidUid, Status::kRingViolation);
+    audit_.Record(caller.principal_id(), "fs_create_seg", kInvalidUid, Status::kRingViolation);
     return Status::kRingViolation;
   }
   return hierarchy_.CreateSegment(dir_uid, name, effective);
@@ -47,9 +44,7 @@ Result<Uid> Kernel::FsCreateDirectory(Process& caller, SegNo dir_segno, const st
   MX_ENTER_GATE(caller, "fs_create_dir", 12);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirAppend, "fs_create_dir",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirAppend, "fs_create_dir"));
   SegmentAttributes effective = attrs;
   effective.author = caller.principal();
   if (params_.config.mls_enforcement && caller.ring() > kRingSupervisor) {
@@ -63,9 +58,7 @@ Status Kernel::FsCreateLink(Process& caller, SegNo dir_segno, const std::string&
   MX_ENTER_GATE(caller, "fs_create_link", 10);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirAppend, "fs_create_link",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirAppend, "fs_create_link"));
   return hierarchy_.CreateLink(dir_uid, name, target);
 }
 
@@ -73,9 +66,7 @@ Status Kernel::FsDelete(Process& caller, SegNo dir_segno, const std::string& nam
   MX_ENTER_GATE(caller, "fs_delete_entry", 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify,
-                                               "fs_delete_entry", machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirModify, "fs_delete_entry"));
   return hierarchy_.DeleteEntry(dir_uid, name);
 }
 
@@ -84,9 +75,7 @@ Status Kernel::FsRename(Process& caller, SegNo dir_segno, const std::string& fro
   MX_ENTER_GATE(caller, "fs_rename", 10);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "fs_rename",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirModify, "fs_rename"));
   return hierarchy_.Rename(dir_uid, from, to);
 }
 
@@ -95,9 +84,7 @@ Status Kernel::FsAddName(Process& caller, SegNo dir_segno, const std::string& ex
   MX_ENTER_GATE(caller, "fs_add_name", 10);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "fs_add_name",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirModify, "fs_add_name"));
   return hierarchy_.AddName(dir_uid, existing, additional);
 }
 
@@ -105,9 +92,7 @@ Result<std::vector<std::string>> Kernel::FsList(Process& caller, SegNo dir_segno
   MX_ENTER_GATE(caller, "fs_list_dir", 4);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "fs_list_dir",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirStatus, "fs_list_dir"));
   MX_ASSIGN_OR_RETURN(std::vector<DirEntry> entries, hierarchy_.List(dir_uid));
   std::vector<std::string> names;
   names.reserve(entries.size());
@@ -122,9 +107,7 @@ Result<BranchStatus> Kernel::FsStatus(Process& caller, SegNo dir_segno,
   MX_ENTER_GATE(caller, "fs_status_seg", 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "fs_status_seg",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirStatus, "fs_status_seg"));
   MX_ASSIGN_OR_RETURN(DirEntry entry, hierarchy_.Lookup(dir_uid, name));
   if (entry.is_link) {
     BranchStatus status;
@@ -137,10 +120,12 @@ Result<BranchStatus> Kernel::FsStatus(Process& caller, SegNo dir_segno,
   status.is_directory = branch->is_directory;
   status.pages = branch->pages;
   status.mode_string = branch->is_directory
-                           ? DirModeString(monitor_.DirectoryModes(*branch, caller.principal(),
-                                                                   caller.clearance(), Trusted(caller)))
-                           : SegmentModeString(monitor_.SegmentModes(*branch, caller.principal(),
-                                                                     caller.clearance(), Trusted(caller)));
+                           ? DirModeString(monitor_.DirectoryModes(
+                                 *branch, caller.principal(), caller.clearance(),
+                                 ReferenceMonitor::Trusted(caller)))
+                           : SegmentModeString(monitor_.SegmentModes(
+                                 *branch, caller.principal(), caller.clearance(),
+                                 ReferenceMonitor::Trusted(caller)));
   status.label = branch->label.ToString();
   status.author = branch->author.ToString();
   return status;
@@ -151,7 +136,7 @@ namespace {
 // The ACL operations need Modify on the *containing directory* (Multics kept
 // ACLs in the branch, which lives in the directory).
 Result<Uid> TargetForAclOp(Kernel& kernel, Process& caller, SegNo dir_segno,
-                           const std::string& name, const char* op) {
+                           const std::string& name, StaticName op) {
   MX_ASSIGN_OR_RETURN(Uid dir_uid, [&]() -> Result<Uid> {
     auto uid = caller.kst().UidOf(dir_segno);
     if (!uid.ok()) {
@@ -160,9 +145,7 @@ Result<Uid> TargetForAclOp(Kernel& kernel, Process& caller, SegNo dir_segno,
     return uid.value();
   }());
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, kernel.store().Get(dir_uid));
-  MX_RETURN_IF_ERROR(kernel.monitor().RequireDirectory(*dir_branch, caller.principal(),
-                                                       caller.clearance(), kDirModify, op,
-                                                       kernel.machine().clock().now(), caller.ring() <= kRingSupervisor));
+  MX_RETURN_IF_ERROR(kernel.monitor().RequireDirectory(*dir_branch, caller, kDirModify, op));
   MX_ASSIGN_OR_RETURN(DirEntry entry, kernel.hierarchy().Lookup(dir_uid, name));
   if (entry.is_link) {
     return Status::kInvalidArgument;
@@ -199,9 +182,7 @@ Result<std::vector<std::string>> Kernel::FsListAcl(Process& caller, SegNo dir_se
   MX_ENTER_GATE(caller, "fs_list_acl", 8);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirStatus, "fs_list_acl",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirStatus, "fs_list_acl"));
   MX_ASSIGN_OR_RETURN(DirEntry entry, hierarchy_.Lookup(dir_uid, name));
   if (entry.is_link) {
     return Status::kInvalidArgument;
@@ -226,8 +207,8 @@ Status Kernel::FsSetRingBrackets(Process& caller, SegNo dir_segno, const std::st
   // Nobody may set a write bracket below their own ring: that would mint
   // authority they do not have.
   if (brackets.write_limit < caller.ring()) {
-    audit_.Record(machine_.clock().now(), caller.principal().ToString(),
-                  "fs_set_ring_brackets", kInvalidUid, Status::kRingViolation);
+    audit_.Record(caller.principal_id(), "fs_set_ring_brackets", kInvalidUid,
+                  Status::kRingViolation);
     return Status::kRingViolation;
   }
   MX_ASSIGN_OR_RETURN(Uid uid,
@@ -257,9 +238,7 @@ Status Kernel::FsSetQuota(Process& caller, SegNo dir_segno, uint32_t quota_pages
   MX_ENTER_GATE(caller, "fs_set_quota", 6);
   MX_ASSIGN_OR_RETURN(Uid dir_uid, ResolveDirSegno(caller, dir_segno));
   MX_ASSIGN_OR_RETURN(Branch * dir_branch, store_.Get(dir_uid));
-  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller.principal(),
-                                               caller.clearance(), kDirModify, "fs_set_quota",
-                                               machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireDirectory(*dir_branch, caller, kDirModify, "fs_set_quota"));
   if (quota_pages != 0 && quota_pages < dir_branch->quota_used) {
     return Status::kQuotaExceeded;
   }
@@ -305,9 +284,7 @@ Status Kernel::SegSetLength(Process& caller, SegNo segno, uint32_t pages) {
   MX_ASSIGN_OR_RETURN(Uid uid, ResolveDirSegno(caller, segno));
   MX_ASSIGN_OR_RETURN(Branch * branch, store_.Get(uid));
   // Changing the length modifies the segment: write access required.
-  MX_RETURN_IF_ERROR(monitor_.RequireSegment(*branch, caller.principal(), caller.clearance(),
-                                             kModeWrite, gate.c_str(), machine_.clock().now(),
-                                             Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireSegment(*branch, caller, kModeWrite, gate));
   MX_RETURN_IF_ERROR(store_.SetLength(uid, pages));
   // Every holder's SDW carries the old bound, and the processor checks the
   // bound before it looks at the page table, so a holder left connected

@@ -19,9 +19,7 @@ Result<ChannelId> Kernel::IpcCreateChannel(Process& caller, SegNo guard_segno) {
   MX_ASSIGN_OR_RETURN(Uid guard_uid, ResolveDirSegno(caller, guard_segno));
   MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid));
   // Creating a channel on a guard requires write access to the guard.
-  MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller.principal(), caller.clearance(),
-                                             kModeWrite, "ipc_create_channel",
-                                             machine_.clock().now(), Trusted(caller)));
+  MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller, kModeWrite, "ipc_create_channel"));
   return traffic_.channels().Create(caller.pid(), guard_uid);
 }
 
@@ -45,9 +43,7 @@ Status Kernel::IpcWakeup(Process& caller, ChannelId channel, uint64_t data) {
   }
   if (guard_uid.value() != 0) {
     MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid.value()));
-    MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller.principal(), caller.clearance(),
-                                               kModeWrite, "ipc_wakeup",
-                                               machine_.clock().now(), Trusted(caller)));
+    MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller, kModeWrite, "ipc_wakeup"));
   }
   return traffic_.Wakeup(channel, EventMessage{data, caller.pid()});
 }
@@ -60,8 +56,7 @@ Result<bool> Kernel::IpcAwait(Process& caller, TaskContext& ctx, ChannelId chann
   }
   if (guard_uid.value() != 0) {
     MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid.value()));
-    MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller.principal(), caller.clearance(),
-                                               kModeRead, "ipc_block", machine_.clock().now(), Trusted(caller)));
+    MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller, kModeRead, "ipc_block"));
   }
   return ctx.Await(channel);
 }
@@ -74,9 +69,7 @@ Result<uint64_t> Kernel::IpcChannelStatus(Process& caller, ChannelId channel) {
   }
   if (guard_uid.value() != 0) {
     MX_ASSIGN_OR_RETURN(Branch * guard, store_.Get(guard_uid.value()));
-    MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller.principal(), caller.clearance(),
-                                               kModeRead, "ipc_channel_status",
-                                               machine_.clock().now(), Trusted(caller)));
+    MX_RETURN_IF_ERROR(monitor_.RequireSegment(*guard, caller, kModeRead, "ipc_channel_status"));
   }
   return traffic_.channels().QueueLength(channel);
 }

@@ -51,33 +51,33 @@ Status DenialReason(bool mls_enforced, const MlsLabel& clearance, const MlsLabel
 
 }  // namespace
 
-Status ReferenceMonitor::RequireSegment(const Branch& branch, const Principal& principal,
-                                        const MlsLabel& clearance, uint8_t wanted,
-                                        const char* operation, Cycles now, bool trusted) {
-  uint8_t granted = SegmentModes(branch, principal, clearance, trusted);
+Status ReferenceMonitor::RequireSegment(const Branch& branch, const Process& subject,
+                                        uint8_t wanted, StaticName operation) {
+  const bool trusted = Trusted(subject);
+  uint8_t granted = SegmentModes(branch, subject.principal(), subject.clearance(), trusted);
   Status outcome = Status::kOk;
   if ((granted & wanted) != wanted) {
     uint8_t missing = wanted & static_cast<uint8_t>(~granted);
-    outcome = DenialReason(mls_ && !trusted, clearance, branch.label, wanted,
+    outcome = DenialReason(mls_ && !trusted, subject.clearance(), branch.label, wanted,
                            (missing & (kModeRead | kModeExecute)) != 0,
                            (missing & kModeWrite) != 0);
   }
-  audit_->Record(now, principal.ToString(), operation, branch.uid, outcome);
+  audit_->Record(subject.principal_id(), operation, branch.uid, outcome);
   return outcome;
 }
 
-Status ReferenceMonitor::RequireDirectory(const Branch& branch, const Principal& principal,
-                                          const MlsLabel& clearance, uint8_t wanted,
-                                          const char* operation, Cycles now, bool trusted) {
-  uint8_t granted = DirectoryModes(branch, principal, clearance, trusted);
+Status ReferenceMonitor::RequireDirectory(const Branch& branch, const Process& subject,
+                                          uint8_t wanted, StaticName operation) {
+  const bool trusted = Trusted(subject);
+  uint8_t granted = DirectoryModes(branch, subject.principal(), subject.clearance(), trusted);
   Status outcome = Status::kOk;
   if ((granted & wanted) != wanted) {
     uint8_t missing = wanted & static_cast<uint8_t>(~granted);
-    outcome = DenialReason(mls_ && !trusted, clearance, branch.label, wanted,
+    outcome = DenialReason(mls_ && !trusted, subject.clearance(), branch.label, wanted,
                            (missing & kDirStatus) != 0,
                            (missing & (kDirModify | kDirAppend)) != 0);
   }
-  audit_->Record(now, principal.ToString(), operation, branch.uid, outcome);
+  audit_->Record(subject.principal_id(), operation, branch.uid, outcome);
   return outcome;
 }
 

@@ -15,6 +15,7 @@
 #include "src/fs/branch.h"
 #include "src/hw/sdw.h"
 #include "src/mls/label.h"
+#include "src/proc/process.h"
 
 namespace multics {
 
@@ -25,11 +26,13 @@ class ReferenceMonitor {
 
   bool mls_enforced() const { return mls_; }
 
+  // Bell-LaPadula trusted subjects: the kernel's own daemons and system
+  // services (ring <= 1).
+  static bool Trusted(const Process& subject) { return subject.ring() <= kRingSupervisor; }
+
   // Effective segment modes: ACL grant intersected with what the lattice
-  // permits for this (clearance, label) pair. A trusted subject (ring <= 1:
-  // the kernel's own daemons and system services) is exempt from the lattice
-  // restrictions — the Bell-LaPadula trusted-subject notion — but never from
-  // the ACL.
+  // permits for this (clearance, label) pair. A trusted subject is exempt
+  // from the lattice restrictions but never from the ACL.
   uint8_t SegmentModes(const Branch& branch, const Principal& principal,
                        const MlsLabel& clearance, bool trusted = false);
 
@@ -37,15 +40,14 @@ class ReferenceMonitor {
   uint8_t DirectoryModes(const Branch& branch, const Principal& principal,
                          const MlsLabel& clearance, bool trusted = false);
 
-  // Checks that every bit of `wanted` is granted; audits the decision.
-  // The returned status distinguishes ACL denials from lattice denials so
-  // the audit trail shows *why* (and tests can assert on the reason).
-  Status RequireSegment(const Branch& branch, const Principal& principal,
-                        const MlsLabel& clearance, uint8_t wanted, const char* operation,
-                        Cycles now, bool trusted = false);
-  Status RequireDirectory(const Branch& branch, const Principal& principal,
-                          const MlsLabel& clearance, uint8_t wanted, const char* operation,
-                          Cycles now, bool trusted = false);
+  // Checks that every bit of `wanted` is granted to `subject`; audits the
+  // decision. The returned status distinguishes ACL denials from lattice
+  // denials so the audit trail shows *why* (and tests can assert on the
+  // reason).
+  Status RequireSegment(const Branch& branch, const Process& subject, uint8_t wanted,
+                        StaticName operation);
+  Status RequireDirectory(const Branch& branch, const Process& subject, uint8_t wanted,
+                          StaticName operation);
 
   // Builds the hardware descriptor embodying the decision.
   SegmentDescriptor BuildSdw(const Branch& branch, uint8_t granted_modes,

@@ -87,6 +87,13 @@ bool ComponentMatches(const std::string& pattern, const std::string& value) {
   return pattern == "*" || pattern == value;
 }
 
+// Fields, not the dotted spelling: "Jones.Faculty" + "a" and "Jones" +
+// "Faculty.a" spell alike but name different entries.
+bool SameName(const AclEntry& entry, const std::string& person, const std::string& project,
+              const std::string& tag) {
+  return entry.person == person && entry.project == project && entry.tag == tag;
+}
+
 }  // namespace
 
 bool AclEntry::Matches(const Principal& principal) const {
@@ -100,7 +107,7 @@ int AclEntry::Specificity() const {
 
 void Acl::Set(const AclEntry& entry) {
   for (auto& existing : entries_) {
-    if (existing.NamePart() == entry.NamePart()) {
+    if (SameName(existing, entry.person, entry.project, entry.tag)) {
       existing.modes = entry.modes;
       return;
     }
@@ -113,9 +120,8 @@ void Acl::Set(const AclEntry& entry) {
 
 Status Acl::Remove(const std::string& person, const std::string& project,
                    const std::string& tag) {
-  const std::string name = person + "." + project + "." + tag;
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->NamePart() == name) {
+    if (SameName(*it, person, project, tag)) {
       entries_.erase(it);
       return Status::kOk;
     }

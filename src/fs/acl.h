@@ -25,6 +25,9 @@ struct Principal {
   static Result<Principal> Parse(const std::string& text);
 };
 
+// A principal's spelling as the kernel's audit log interned it.
+using PrincipalId = uint32_t;
+
 // Segment access modes as a bitmask.
 enum SegmentMode : uint8_t {
   kModeNull = 0,
@@ -62,9 +65,9 @@ class Acl {
  public:
   Acl() = default;
 
-  // Adds or replaces the entry with the same person.project.tag.
+  // Adds or replaces the entry with the same person, project and tag.
   void Set(const AclEntry& entry);
-  // Removes the entry whose name part matches exactly; kNotFound otherwise.
+  // Removes the entry with exactly these three fields; kNotFound otherwise.
   Status Remove(const std::string& person, const std::string& project, const std::string& tag);
 
   // The modes granted to `principal`: first match in specificity order

@@ -59,7 +59,6 @@ class Process {
       : pid_(pid),
         name_(std::move(name)),
         principal_(std::move(principal)),
-        principal_string_(principal_.ToString()),
         clearance_(clearance),
         ring_(ring),
         program_(std::move(program)),
@@ -68,11 +67,12 @@ class Process {
   ProcessId pid() const { return pid_; }
   const std::string& name() const { return name_; }
   const Principal& principal() const { return principal_; }
-  // The principal's "person.project.tag" spelling, built once. The audit log
-  // records it on every monitored operation; per-call ToString() was one of
-  // the hottest allocation sites in the simulator. (The principal itself is
-  // immutable after construction, so the cache cannot go stale.)
-  const std::string& principal_string() const { return principal_string_; }
+  // The audit log's id for the principal's "person.project.tag" spelling,
+  // interned once by the kernel that creates the process; every audit
+  // record of this subject names it. (The principal is immutable after
+  // construction, so the id cannot go stale.)
+  PrincipalId principal_id() const { return principal_id_; }
+  void set_principal_id(PrincipalId id) { principal_id_ = id; }
   const MlsLabel& clearance() const { return clearance_; }
   RingNumber ring() const { return ring_; }
   void set_ring(RingNumber ring) {
@@ -132,7 +132,7 @@ class Process {
   ProcessId pid_;
   std::string name_;
   Principal principal_;
-  std::string principal_string_;  // principal_.ToString(), cached.
+  PrincipalId principal_id_ = 0;
   MlsLabel clearance_;
   RingNumber ring_;
   std::unique_ptr<Task> program_;

@@ -92,8 +92,9 @@ Result<Process*> AnsweringService::Login(const std::string& person, const std::s
     return process;
   }
   ++failed_logins_;
-  kernel_->audit().Record(kernel_->machine().clock().now(), person + "." + project,
-                          "user_ring_login", kInvalidUid, Status::kAuthenticationFailed);
+  AuditLog& audit = kernel_->audit();
+  audit.Record(audit.Intern(person + "." + project), "user_ring_login", kInvalidUid,
+               Status::kAuthenticationFailed);
   return Status::kAuthenticationFailed;
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "src/core/kernel.h"
 
 namespace multics {
@@ -128,42 +131,76 @@ TEST_F(KernelTest, AclDenialIsEnforcedAndAudited) {
   auto smith = kernel_->BootstrapProcess("smith", Principal{"Smith", "Faculty", "a"},
                                          MlsLabel{SensitivityLevel::kSecret, {}});
   ASSERT_TRUE(smith.ok());
-  ASSERT_TRUE(kernel_->FsCreateSegment(*smith.value(), HomeDir(*smith.value()), "private",
-                                       attrs).ok());
+  auto uid = kernel_->FsCreateSegment(*smith.value(), HomeDir(*smith.value()), "private", attrs);
+  ASSERT_TRUE(uid.ok());
   uint64_t denials_before = kernel_->audit().denials();
   auto init = kernel_->Initiate(*user_, home, "private");
   EXPECT_EQ(init.status(), Status::kAccessDenied);  // Jones is not Smith.
   EXPECT_GT(kernel_->audit().denials(), denials_before);
+  const AuditRecord& denial = kernel_->audit().recent().back();
+  EXPECT_EQ(denial.time, kernel_->machine().clock().now());
+  EXPECT_EQ(kernel_->audit().spelling(denial.principal), "Jones.Faculty.a");
+  EXPECT_EQ(std::string_view(denial.operation.c_str()), "initiate_seg");
+  EXPECT_EQ(denial.uid, uid.value());
+  EXPECT_EQ(denial.outcome, Status::kAccessDenied);
+}
+
+TEST_F(KernelTest, ClearedAuditLogSpellsEarlierPrincipals) {
+  // The model checker's seeded "forgot to audit" mutation clears the log
+  // mid-run; processes interned before that keep their spelling.
+  kernel_->audit().Clear();
+  EXPECT_EQ(kernel_->LinkSnapAll(*user_, 100).status(), Status::kNotAGate);
+  ASSERT_EQ(kernel_->audit().recent().size(), 1u);
+  const AuditRecord& refusal = kernel_->audit().recent().back();
+  EXPECT_EQ(kernel_->audit().spelling(refusal.principal), "Jones.Faculty.a");
+  EXPECT_EQ(kernel_->audit().Intern("Jones.Faculty.a"), user_->principal_id());
 }
 
 TEST(AuditLogTest, DenialCountsSurviveTheRecentWindow) {
-  // denials_with() used to scan only the bounded `recent_` deque, so counts
-  // silently saturated at the window size. It is lifetime-backed now.
-  AuditLog log(/*keep_recent=*/16);
-  for (int i = 0; i < 100; ++i) {
-    log.Record(i, "Jones.Faculty", "initiate", 1, Status::kAccessDenied);
+  SimClock clock;
+  AuditLog log(&clock);
+  const PrincipalId jones = log.Intern("Jones.Faculty");
+  for (int i = 0; i < 1000; ++i) {
+    log.Record(jones, "initiate", 1, Status::kAccessDenied);
   }
-  for (int i = 0; i < 40; ++i) {
-    log.Record(100 + i, "Jones.Faculty", "read", 2, Status::kMlsReadViolation);
+  for (int i = 0; i < 400; ++i) {
+    log.Record(jones, "read", 2, Status::kMlsReadViolation);
   }
-  log.Record(200, "Jones.Faculty", "call", 3, Status::kRingViolation);
-  log.Record(201, "Jones.Faculty", "initiate", 1, Status::kOk);
+  log.Record(jones, "call", 3, Status::kRingViolation);
+  for (int i = 0; i < 30; ++i) {
+    log.Record(jones, "initiate", 1, Status::kOk);
+  }
 
-  EXPECT_EQ(log.recent().size(), 16u);  // Window stays bounded...
-  EXPECT_EQ(log.denials_with(Status::kAccessDenied), 100u);  // ...counts don't.
-  EXPECT_EQ(log.denials_with(Status::kMlsReadViolation), 40u);
+  EXPECT_EQ(log.recent().size(), AuditLog::kWindow);  // The window stays bounded...
+  EXPECT_EQ(log.denials_with(Status::kAccessDenied), 1000u);  // ...the counts don't.
+  EXPECT_EQ(log.denials_with(Status::kMlsReadViolation), 400u);
   EXPECT_EQ(log.denials_with(Status::kRingViolation), 1u);
   EXPECT_EQ(log.denials_with(Status::kOk), 0u);
-  EXPECT_EQ(log.acl_denials(), 100u);
-  EXPECT_EQ(log.mls_denials(), 40u);
-  EXPECT_EQ(log.ring_denials(), 1u);
-  EXPECT_EQ(log.denials(), 141u);
-  EXPECT_EQ(log.grants(), 1u);
+  EXPECT_EQ(log.denials(), 1401u);
+  EXPECT_EQ(log.grants(), 30u);
 
   log.Clear();
+  EXPECT_TRUE(log.recent().empty());
   EXPECT_EQ(log.denials_with(Status::kAccessDenied), 0u);
+  EXPECT_EQ(log.denials_with(Status::kMlsReadViolation), 0u);
+  EXPECT_EQ(log.denials_with(Status::kRingViolation), 0u);
   EXPECT_EQ(log.denials(), 0u);
+  EXPECT_EQ(log.grants(), 0u);
 }
+
+// Audit operations and gate names are kept by pointer, so only a string
+// literal (or another static array) may name one.
+template <typename Name>
+concept AuditRecordAccepts = requires(AuditLog& log, Name name) {
+  log.Record(0, name, kInvalidUid, Status::kOk);
+};
+template <typename Name>
+concept RecordCallAccepts = requires(GateTable& gates, Name name) {
+  gates.RecordCallIndexed(name);
+};
+static_assert(AuditRecordAccepts<StaticName> && RecordCallAccepts<StaticName>);
+static_assert(!AuditRecordAccepts<const char*> && !AuditRecordAccepts<std::string>);
+static_assert(!RecordCallAccepts<const char*> && !RecordCallAccepts<std::string>);
 
 TEST_F(KernelTest, ReadOnlyAclStopsWritesAtTheHardware) {
   SegNo segno = MakeSegment("readonly", RwForAll());
@@ -420,9 +457,17 @@ TEST_F(LegacyKernelTest, LegacyLoginGateAuthenticates) {
                         MlsLabel{SensitivityLevel::kSecret, {}});
   auto bad = kernel_->LoginLegacy(*user_, "Jones", "Faculty", "wrong", {});
   EXPECT_EQ(bad.status(), Status::kAuthenticationFailed);
+  // A refused login has no process yet: it is audited as person.project.
+  const AuditRecord& refusal = kernel_->audit().recent().back();
+  EXPECT_EQ(kernel_->audit().spelling(refusal.principal), "Jones.Faculty");
+  EXPECT_EQ(std::string_view(refusal.operation.c_str()), "login");
+  EXPECT_EQ(refusal.outcome, Status::kAuthenticationFailed);
   auto too_high = kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw123",
                                        MlsLabel{SensitivityLevel::kTopSecret, {}});
   EXPECT_EQ(too_high.status(), Status::kAccessDenied);
+  EXPECT_EQ(kernel_->audit().spelling(kernel_->audit().recent().back().principal),
+            "Jones.Faculty");
+  EXPECT_EQ(kernel_->audit().recent().back().outcome, Status::kMlsReadViolation);
   auto ok = kernel_->LoginLegacy(*user_, "Jones", "Faculty", "pw123",
                                  MlsLabel{SensitivityLevel::kSecret, {}});
   ASSERT_TRUE(ok.ok());

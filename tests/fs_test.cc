@@ -70,6 +70,15 @@ TEST(AclTest, SetReplacesSameName) {
   acl.Set(AclEntry{"Jones", "Faculty", "a", kModeWrite});
   EXPECT_EQ(acl.size(), 1u);
   EXPECT_EQ(acl.EffectiveModes({"Jones", "Faculty", "a"}), kModeWrite);
+
+  // Names are compared by field, not by their dotted spelling, which these
+  // two share.
+  Acl dotted;
+  dotted.Set(AclEntry{"Jones.Faculty", "a", "*", kModeRead});
+  dotted.Set(AclEntry{"Jones", "Faculty.a", "*", kModeRead | kModeWrite});
+  EXPECT_EQ(dotted.size(), 2u);
+  EXPECT_EQ(dotted.EffectiveModes({"Jones.Faculty", "a", "x"}), kModeRead);
+  EXPECT_EQ(dotted.EffectiveModes({"Jones", "Faculty.a", "x"}), kModeRead | kModeWrite);
 }
 
 TEST(AclTest, RemoveEntry) {
@@ -78,6 +87,12 @@ TEST(AclTest, RemoveEntry) {
   EXPECT_EQ(acl.Remove("Jones", "Faculty", "a"), Status::kOk);
   EXPECT_EQ(acl.Remove("Jones", "Faculty", "a"), Status::kNotFound);
   EXPECT_EQ(acl.EffectiveModes({"Jones", "Faculty", "a"}), kModeNull);
+
+  // A name that only spells like an entry does not remove it.
+  acl.Set(AclEntry{"Jones.Faculty", "a", "*", kModeRead});
+  EXPECT_EQ(acl.Remove("Jones", "Faculty.a", "*"), Status::kNotFound);
+  EXPECT_EQ(acl.size(), 1u);
+  EXPECT_EQ(acl.EffectiveModes({"Jones.Faculty", "a", "x"}), kModeRead);
 }
 
 TEST(AclTest, ModeStrings) {
